@@ -484,18 +484,20 @@ let verify_cmd =
   in
   let engine =
     let engine_conv =
-      Arg.enum
-        [ ("journal", `Journal); ("clone", `Clone); ("compiled", `Compiled) ]
+      Arg.enum [ ("journal", `Journal); ("compiled", `Compiled) ]
     in
     Arg.(
       value & opt engine_conv `Journal
       & info [ "engine" ]
           ~doc:
-            "child-expansion engine: journal (in-place step/undo, the \
-             default), clone (copy the machine per child), or compiled \
-             (journal plus compile-ahead program execution; locks whose \
+            "step engine: journal (interpreted steps, the default) or \
+             compiled (compile-ahead program execution; locks whose \
              programs are not declared pure fall back to the journal \
-             interpreter); identical verdicts and node counts")
+             interpreter). Both expand children in place and agree on \
+             verdicts and node counts. Locks that are not declared pure \
+             keep per-passage scratch outside the machine that rollback \
+             does not restore, so their searches are not exact (a known \
+             defect, see DESIGN.md §5e)")
   in
   let profile_out =
     Arg.(

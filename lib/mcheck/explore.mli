@@ -8,8 +8,8 @@
     Duplicate states are pruned by fingerprint: shared memory, buffers,
     pending ops, sections, passage counts and structural continuation
     hashes, folded into a single packed 63-bit Zobrist-style XOR value
-    ({!Machine.fingerprint}, re-exported as {!fingerprint}; the journal
-    engine maintains it incrementally, see {!Machine.fingerprint_fast}).
+    ({!Machine.fingerprint}, re-exported as {!fingerprint}; the search
+    maintains it incrementally, see {!Machine.fingerprint_fast}).
     Two distinct states hashing to the same value would be conflated, so
     verification verdicts are "no violation in the full deduplicated
     space up to 63-bit hash collisions" — a high-confidence check, not a
@@ -21,8 +21,9 @@
     fresh machine.
 
     Machines are explored with {!Config.t.record_trace} off by default,
-    making {!Machine.clone} O(state) instead of O(depth + state); pass
-    [~record_trace:true] to cross-check against trace-recording runs.
+    making the parallel driver's {!Machine.clone} hand-offs O(state)
+    instead of O(depth + state); pass [~record_trace:true] to cross-check
+    against trace-recording runs.
 
     {2 Partial-order reduction}
 
@@ -62,8 +63,9 @@
       local state, so its footprint and successor are stable. Exploring
       it alone is a persistent set; the skipped interleavings commute
       into the explored ones. Validation is post hoc: the move is applied
-      to a clone and the successor's pending event inspected; candidates
-      that become CS-enabled or raise fall back to full expansion.
+      in place and the successor's pending event inspected; candidates
+      that become CS-enabled or raise are rolled back and fall back to
+      full expansion.
       Local move chains are finite and acyclic in fingerprint space
       (spin fuel lives in the hashed continuation, passage counts are
       fingerprinted), so the reduction cannot postpone the other
@@ -156,11 +158,10 @@ type stats = {
       (** summed idle time of early-finishing domains waiting for the
           slowest one to join; 0 for the sequential engine *)
   journal_peak : int;
-      (** journal engine: high-water undo-log depth in records (max over
-          domains); 0 under the clone engine *)
+      (** high-water undo-log depth in records (max over domains) *)
   undo_records : int;
-      (** journal engine: total undo records pushed across the search
-          (summed over domains); 0 under the clone engine *)
+      (** total undo records pushed across the search (summed over
+          domains and the parallel driver's BFS seed) *)
   steals : int;
       (** parallel mode: work items taken from another domain's deque
           (load-balancing events); 0 for the sequential engine *)
@@ -352,19 +353,19 @@ val explore :
     then the {e only} omission channel, and it is the one
     [omission_prob] measures.
 
-    The child-expansion strategy is selected by {!Config.t.engine}:
-    [`Journal] (the default) steps one machine per domain in place and
-    rolls back through {!Machine.Journal} after each subtree; [`Clone]
-    copies the machine per child (the legacy engine). The two engines
-    visit identical state spaces — same verdicts, node counts and
-    fingerprint sets. Parallel frontier hand-off always clones, under
-    either engine, so frontier machines are independent.
+    Children are expanded by one path: each domain steps one machine in
+    place and rolls back through {!Machine.Journal} after each subtree.
+    {!Config.t.engine} only chooses how a step executes — [`Journal]
+    (the default) interprets continuations, [`Compiled] runs
+    compile-ahead code for declared-pure programs; the two visit
+    identical state spaces (same verdicts, node counts and fingerprint
+    sets). Parallel hand-off — the BFS frontier and parked subtrees —
+    clones the machine, so handed-off machines are independent.
 
-    [~paranoid_fp:true] makes the journal engine cross-check the
-    incrementally-maintained fingerprint against a full recompute at
-    every node ({!Machine.fingerprint_fast} = {!Machine.fingerprint}),
-    failing loudly on drift. A debug mode; off by default. No effect
-    under the clone engine.
+    [~paranoid_fp:true] cross-checks the incrementally-maintained
+    fingerprint against a full recompute at every node
+    ({!Machine.fingerprint_fast} = {!Machine.fingerprint}), failing
+    loudly on drift. A debug mode; off by default.
 
     [~obs] attaches a telemetry hub ({!Obs.Telemetry}): the search emits
     a time-based heartbeat (~1 Hz, re-armed from a deadline checked

@@ -47,35 +47,36 @@ let crash_semantics_name = function
   | Flush_buffer -> "flush-buffer"
   | Atomic_prefix -> "atomic-prefix"
 
-(* How the explorer expands children:
+(* How a machine executes steps. The explorer always expands children in
+   place — step, recurse, then roll back through the mutation journal
+   (Machine.Journal), with incrementally-maintained fingerprints; the
+   engine only picks the step implementation:
 
-   - [`Journal]: step the node's machine in place, recurse, then roll it
-     back through the mutation journal (Machine.Journal) — O(touched
-     words) per node instead of O(state), with incrementally-maintained
-     fingerprints. The default.
-   - [`Clone]: copy the machine per child (the pre-PR5 engine); kept
-     selectable for differential testing and as a fallback.
-   - [`Compiled]: journal engine on top of compile-ahead program
-     execution (Compile): continuations interned into a flat instruction
-     array, cached structural hashes, allocation-free steps. Verdicts,
-     node counts and fingerprints are identical to [`Journal]. *)
-type engine = [ `Clone | `Journal | `Compiled ]
+   - [`Journal]: interpret the continuations. The default.
+   - [`Compiled]: compile-ahead program execution (Compile):
+     continuations interned into a flat instruction array, cached
+     structural hashes, allocation-free steps. Only for declared-pure
+     programs; others run the interpreter. Verdicts, node counts and
+     fingerprints are identical to [`Journal]. *)
+type engine = [ `Journal | `Compiled ]
 
-let engine_name = function
-  | `Clone -> "clone"
-  | `Journal -> "journal"
-  | `Compiled -> "compiled"
+let engine_name = function `Journal -> "journal" | `Compiled -> "compiled"
 
 (* Default engine for configurations that do not pick one explicitly.
-   The PA_ENGINE environment variable overrides it ("journal", "clone",
+   The PA_ENGINE environment variable overrides it ("journal",
    "compiled") so CI can run every existing suite under another engine
-   without touching the suites; unknown values fall back to the
-   journal engine. *)
+   without touching the suites; an empty value counts as unset. Any other
+   value is rejected: a typo must not silently test the wrong engine. *)
 let default_engine () : engine =
   match Sys.getenv_opt "PA_ENGINE" with
+  | None | Some ("" | "journal") -> `Journal
   | Some "compiled" -> `Compiled
-  | Some "clone" -> `Clone
-  | Some _ | None -> `Journal
+  | Some v ->
+      invalid_arg
+        (Printf.sprintf
+           "Config.default_engine: PA_ENGINE=%S (expected \"journal\" or \
+            \"compiled\")"
+           v)
 
 (* How the explorer remembers visited states:
 

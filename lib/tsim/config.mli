@@ -30,24 +30,24 @@ type crash_semantics = Drop_buffer | Flush_buffer | Atomic_prefix
 
 val crash_semantics_name : crash_semantics -> string
 
-(** Exploration child-expansion strategy: [`Journal] steps one machine in
-    place and rolls back through the mutation journal ({!Machine.Journal},
-    the default — O(touched words) per node); [`Clone] copies the machine
-    per child (the legacy engine, kept selectable for differential
-    testing); [`Compiled] is the journal engine on top of compile-ahead
-    program execution ({!Compile}: continuations interned into a flat
-    instruction array, cached structural hashes, allocation-free steps).
-    The three engines visit identical state spaces with identical
-    verdicts and fingerprints. *)
-type engine = [ `Clone | `Journal | `Compiled ]
+(** Step implementation under exploration. The explorer always steps one
+    machine in place and rolls back through the mutation journal
+    ({!Machine.Journal}); [`Journal] (the default) interprets the
+    continuations, [`Compiled] runs compile-ahead program execution
+    ({!Compile}: continuations interned into a flat instruction array,
+    cached structural hashes, allocation-free steps) for declared-pure
+    programs and the interpreter otherwise. The two engines visit
+    identical state spaces with identical verdicts and fingerprints. *)
+type engine = [ `Journal | `Compiled ]
 
 val engine_name : engine -> string
 
 val default_engine : unit -> engine
 (** The engine {!make} uses when [?engine] is omitted: [`Journal], unless
     the [PA_ENGINE] environment variable selects another ("journal",
-    "clone", "compiled") — the hook CI uses to run every suite under a
-    different engine. *)
+    "compiled"; empty counts as unset) — the hook CI uses to run every
+    suite under a different engine.
+    @raise Invalid_argument when [PA_ENGINE] holds any other value. *)
 
 (** Exploration seen-state memory policy:
 

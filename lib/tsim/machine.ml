@@ -200,7 +200,7 @@ let create (cfg : Config.t) =
        interpreter *)
     match cfg.engine with
     | `Compiled when cfg.pure_programs -> Some (Compile.get cfg)
-    | `Compiled | `Clone | `Journal -> None
+    | `Compiled | `Journal -> None
   in
   let pc0 = match code with Some c -> Compile.unit_pc c | None -> -1 in
   let procs =
@@ -462,7 +462,7 @@ let pending_var m p : Var.t =
 
 (* --- fingerprints ----------------------------------------------------- *)
 
-(* Packed 63-bit state fingerprint, shared by both exploration engines.
+(* Packed 63-bit state fingerprint, shared by both step engines.
 
    Structure: an XOR fold of independent terms — one Zobrist-style term
    per shared variable and one term per process —

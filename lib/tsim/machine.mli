@@ -139,8 +139,10 @@ val create : Config.t -> t
     NCS, buffers empty, variables at their initial values). *)
 
 val clone : t -> t
-(** Deep copy for state-space exploration (continuations are immutable
-    and shared). When the configuration has [record_trace = false], the
+(** Deep copy (continuations are immutable and shared). The explorer
+    steps in place and clones only to hand a state to another search —
+    the parallel driver's BFS frontier and parked subtrees; tests use it
+    for snapshots. When the configuration has [record_trace = false], the
     trace and passage logs are empty and never written, so they are
     shared rather than copied: the clone costs O(state) instead of
     O(depth + state). A clone never inherits an active journal
@@ -337,8 +339,8 @@ val abort : t -> Pid.t -> Event.t
     and one term recomputation per event. *)
 
 val fingerprint : t -> int
-(** Full recompute from the current state. Engine-independent: journal
-    and clone exploration see identical fingerprint sets. *)
+(** Full recompute from the current state: the reference the
+    incrementally-maintained {!fingerprint_fast} must always equal. *)
 
 val fingerprint_fast : t -> int
 (** The incrementally-maintained fingerprint when journaling is enabled
@@ -351,8 +353,8 @@ val fingerprint_fast : t -> int
     pushes an undo record onto a reusable log, and {!Journal.undo_to}
     rolls the machine back to a previously-taken mark exactly — including
     after an exception escaped mid-event (e.g. {!Exclusion_violation}).
-    The in-place DFS engine expands children as step → recurse → undo on
-    a single machine instead of cloning per node. *)
+    The explorer expands children as step → recurse → undo on a single
+    machine instead of cloning per node. *)
 module Journal : sig
   type mark
 

@@ -203,7 +203,7 @@ let fp_multiset ~engine ~por ~max_crashes ~max_aborts cfg =
 
 (* Both fault budgets at once: exclusion still holds (crashes may land
    inside abort cleanup sections), both fault kinds are exercised, and
-   the clone / journal / compiled engines visit identical fingerprint
+   the journal and compiled engines visit identical fingerprint
    multisets with and without the reduction. *)
 let test_abort_crash_composition () =
   List.iter
@@ -235,7 +235,7 @@ let test_abort_crash_composition () =
           Suite_mcheck_equiv.check_fp_multisets
             (tag engine ^ " vs journal")
             tj t)
-        [ `Clone; `Compiled ])
+        [ `Compiled ])
     [ true; false ]
 
 (* --- typed partial verdict for an external interrupt --------------------- *)

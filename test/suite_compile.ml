@@ -275,6 +275,38 @@ let test_impure_degrades () =
         (Option.value ~default:0 (Hashtbl.find_opt tc fp)))
     tj
 
+(* --- the PA_ENGINE hook --------------------------------------------------- *)
+
+(* The environment override CI uses to run every suite under the
+   compiled engine must reject anything it does not know: a typo would
+   otherwise silently test the default engine. The variable is restored
+   afterwards (an empty value counts as unset, and the stdlib has no
+   unsetenv). *)
+let test_pa_engine_strict () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "PA_ENGINE") in
+  Fun.protect ~finally:(fun () -> Unix.putenv "PA_ENGINE" saved)
+  @@ fun () ->
+  let with_env v =
+    Unix.putenv "PA_ENGINE" v;
+    Config.default_engine ()
+  in
+  Alcotest.(check string) "journal" "journal"
+    (Config.engine_name (with_env "journal"));
+  Alcotest.(check string) "compiled" "compiled"
+    (Config.engine_name (with_env "compiled"));
+  Alcotest.(check string) "empty = unset" "journal"
+    (Config.engine_name (with_env ""));
+  List.iter
+    (fun v ->
+      Alcotest.check_raises ("PA_ENGINE=" ^ v ^ " rejected")
+        (Invalid_argument
+           (Printf.sprintf
+              "Config.default_engine: PA_ENGINE=%S (expected \"journal\" or \
+               \"compiled\")"
+              v))
+        (fun () -> ignore (with_env v)))
+    [ "clone"; "compield"; "Compiled" ]
+
 (* --- workloads for the walks ------------------------------------------- *)
 
 let rtas () =
@@ -307,4 +339,6 @@ let suite =
       test_fanout_degrades;
     Alcotest.test_case "impure configuration degrades to the interpreter"
       `Quick test_impure_degrades;
+    Alcotest.test_case "PA_ENGINE rejects unknown values" `Quick
+      test_pa_engine_strict;
   ]

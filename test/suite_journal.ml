@@ -1,7 +1,6 @@
-(* The mutation journal (Machine.Journal) and the in-place DFS engine.
+(* The mutation journal (Machine.Journal) and the in-place DFS.
 
-   Three layers of evidence that stepping-in-place is equivalent to
-   cloning:
+   Four layers of evidence that the in-place search is exact:
 
    - a random-walk property: from any reachable state, apply one enabled
      move (including crash/recover and PSO out-of-order commits) and roll
@@ -10,11 +9,17 @@
      fingerprint, and the incrementally-maintained fingerprint must agree
      with the full recompute at every visited state;
 
-   - a differential check over the golden workloads: the clone and
-     journal engines, at 1 and 4 domains, with and without the reduction,
-     produce identical verdicts (node counts and depths too at one
-     domain; at 4 the shared store makes those timing-dependent), and
-     sequentially, via [~on_fingerprint], identical fingerprint
+   - an independent reachability oracle: a plain clone-per-child BFS
+     over every enabled move, deduplicated on the full fingerprint, that
+     shares none of the explorer's reduction logic. Without the reduction
+     the explorer must reach exactly the oracle's state set; with it, the
+     oracle's verdict;
+
+   - a differential check over the golden workloads: the journal and
+     compiled step engines, at 1 and 4 domains, with and without the
+     reduction, produce identical verdicts (node counts and depths too at
+     one domain; at 4 the shared store makes those timing-dependent),
+     and sequentially, via [~on_fingerprint], identical fingerprint
      multisets;
 
    - byte-level invisibility: replaying the corpus fixture with trace
@@ -146,6 +151,93 @@ let walk_props =
       };
   ]
 
+(* --- independent reachability oracle -------------------------------------- *)
+
+(* Breadth-first over every enabled move, one clone per child, dedup on
+   the full fingerprint: no sleep sets, no ample sets, no journal. A child
+   that runs out of spin fuel is dropped (the explorer's default
+   [`Prune]); one that raises an exclusion is recorded and not entered.
+   Spin fuel is pinned to the explorer's default of 6. Returns the
+   reachable fingerprint set and whether any violation (exclusion or
+   deadlock) is reachable. *)
+let oracle ?(max_crashes = 0) cfg =
+  let saved = !Prog.default_spin_fuel in
+  Prog.default_spin_fuel := 6;
+  Fun.protect ~finally:(fun () -> Prog.default_spin_fuel := saved)
+  @@ fun () ->
+  let seen = Hashtbl.create 4096 and violation = ref false in
+  let queue = Queue.create () in
+  let admit m =
+    let fp = Machine.fingerprint m in
+    if not (Hashtbl.mem seen fp) then begin
+      Hashtbl.replace seen fp ();
+      Queue.add m queue
+    end
+  in
+  admit (Machine.create cfg);
+  while not (Queue.is_empty queue) do
+    let m = Queue.pop queue in
+    match E.enabled_moves ~max_crashes m with
+    | [] ->
+        for p = 0 to Machine.n_procs m - 1 do
+          if Machine.pending_class m p <> Machine.K_done then violation := true
+        done
+    | moves ->
+        List.iter
+          (fun mv ->
+            let m' = Machine.clone m in
+            match E.apply m' mv with
+            | () -> admit m'
+            | exception Prog.Spin_exhausted _ -> ()
+            | exception Machine.Exclusion_violation _ -> violation := true)
+          moves
+  done;
+  (seen, !violation)
+
+let check_oracle name ?(max_crashes = 0) cfg =
+  let states, violation = oracle ~max_crashes cfg in
+  List.iter
+    (fun engine ->
+      let cfg = { cfg with Config.engine } in
+      let tag = Printf.sprintf "%s (%s)" name (Config.engine_name engine) in
+      let root = Machine.fingerprint (Machine.create cfg) in
+      let fps = Hashtbl.create 4096 in
+      Hashtbl.replace fps root ();
+      let r =
+        E.explore ~max_nodes:200_000 ~max_violations:max_int ~por:false
+          ~max_crashes
+          ~on_fingerprint:(fun fp -> Hashtbl.replace fps fp ())
+          cfg
+      in
+      Alcotest.(check bool) (tag ^ ": exhausted") true r.E.exhausted;
+      Alcotest.(check int)
+        (tag ^ ": nodes = reachable states")
+        (Hashtbl.length states) r.E.nodes;
+      Alcotest.(check int)
+        (tag ^ ": fingerprint set size")
+        (Hashtbl.length states) (Hashtbl.length fps);
+      Hashtbl.iter
+        (fun fp () ->
+          if not (Hashtbl.mem states fp) then
+            Alcotest.failf "%s: fingerprint %#x unknown to the oracle" tag fp)
+        fps;
+      let rp = E.explore ~max_nodes:200_000 ~max_crashes cfg in
+      Alcotest.(check bool)
+        (tag ^ ": por verdict = oracle verdict")
+        (not violation) rp.E.verified)
+    [ `Journal; `Compiled ]
+
+let test_oracle_peterson () =
+  check_oracle "peterson unfenced" (peterson_unfenced ())
+
+let test_oracle_mp_pso () = check_oracle "mp PSO" (mp_pso ())
+
+let test_oracle_rtas () =
+  check_oracle "rtas drop-buffer" ~max_crashes:1
+    (rtas ~crash_semantics:Config.Drop_buffer ());
+  check_oracle "rtas atomic-prefix" ~max_crashes:1
+    (rtas ~crash_semantics:Config.Atomic_prefix ())
+
 (* --- engine differential ------------------------------------------------ *)
 
 let kind_name = function
@@ -157,7 +249,7 @@ let explore_with ~engine ~domains ~por ?on_fingerprint ?max_crashes cfg =
   E.explore ~max_nodes:200_000 ~domains ~por ?on_fingerprint ?max_crashes
     { cfg with Config.engine }
 
-(* Clone vs journal at the same (domains, por): same verdict, same
+(* Journal vs compiled at the same (domains, por): same verdict, same
    violation kinds, same exhaustion. Node counts and max depth are only
    compared sequentially: with the shared fingerprint store, which
    domain claims a state first decides the depth it is recorded at (and,
@@ -167,23 +259,25 @@ let explore_with ~engine ~domains ~por ?on_fingerprint ?max_crashes cfg =
 let check_engines name ?max_crashes cfg =
   List.iter
     (fun (domains, por) ->
-      let rc = explore_with ~engine:`Clone ~domains ~por ?max_crashes cfg in
       let rj = explore_with ~engine:`Journal ~domains ~por ?max_crashes cfg in
+      let rc =
+        explore_with ~engine:`Compiled ~domains ~por ?max_crashes cfg
+      in
       let tag =
         Printf.sprintf "%s domains=%d por=%b" name domains por
       in
-      Alcotest.(check bool) (tag ^ ": verified") rc.E.verified rj.E.verified;
+      Alcotest.(check bool) (tag ^ ": verified") rj.E.verified rc.E.verified;
       Alcotest.(check bool)
-        (tag ^ ": exhausted") rc.E.exhausted rj.E.exhausted;
+        (tag ^ ": exhausted") rj.E.exhausted rc.E.exhausted;
       if domains = 1 then begin
-        Alcotest.(check int) (tag ^ ": nodes") rc.E.nodes rj.E.nodes;
+        Alcotest.(check int) (tag ^ ": nodes") rj.E.nodes rc.E.nodes;
         Alcotest.(check int)
-          (tag ^ ": max depth") rc.E.max_depth rj.E.max_depth
+          (tag ^ ": max depth") rj.E.max_depth rc.E.max_depth
       end;
       Alcotest.(check (list string))
         (tag ^ ": violation kinds")
-        (List.map (fun v -> kind_name v.E.kind) rc.E.violations)
-        (List.map (fun v -> kind_name v.E.kind) rj.E.violations))
+        (List.map (fun v -> kind_name v.E.kind) rj.E.violations)
+        (List.map (fun v -> kind_name v.E.kind) rc.E.violations))
     [ (1, true); (1, false); (4, true); (4, false) ]
 
 let test_engines_peterson () = check_engines "peterson" (peterson_unfenced ())
@@ -207,23 +301,23 @@ let fp_multiset ~engine ?max_crashes cfg =
   (r, tbl)
 
 let check_fp_sets name ?max_crashes cfg =
-  let rc, tc = fp_multiset ~engine:`Clone ?max_crashes cfg in
   let rj, tj = fp_multiset ~engine:`Journal ?max_crashes cfg in
-  Alcotest.(check int) (name ^ ": nodes") rc.E.nodes rj.E.nodes;
+  let rc, tc = fp_multiset ~engine:`Compiled ?max_crashes cfg in
+  Alcotest.(check int) (name ^ ": nodes") rj.E.nodes rc.E.nodes;
   Alcotest.(check int)
     (name ^ ": distinct fingerprints")
-    (Hashtbl.length tc) (Hashtbl.length tj);
+    (Hashtbl.length tj) (Hashtbl.length tc);
   Hashtbl.iter
     (fun fp n ->
-      match Hashtbl.find_opt tj fp with
+      match Hashtbl.find_opt tc fp with
       | Some n' when n = n' -> ()
       | Some n' ->
-          Alcotest.failf "%s: fingerprint %#x visited %d (clone) vs %d \
-                          (journal) times"
+          Alcotest.failf "%s: fingerprint %#x visited %d (journal) vs %d \
+                          (compiled) times"
             name fp n n'
       | None ->
-          Alcotest.failf "%s: fingerprint %#x visited by clone only" name fp)
-    tc
+          Alcotest.failf "%s: fingerprint %#x visited by journal only" name fp)
+    tj
 
 let test_fp_sets_peterson () = check_fp_sets "peterson" (peterson_unfenced ())
 
@@ -246,19 +340,20 @@ let test_paranoid () =
       ("rtas", 1, rtas ~crash_semantics:Config.Atomic_prefix ());
     ]
 
-(* Journal gauges surface in stats under the journal engine only. *)
+(* Journal gauges surface in stats under both step engines. *)
 let test_journal_stats () =
-  (* pin the engine: the config default bends to PA_ENGINE, and this
-     test is specifically about the journal gauges *)
-  let cfg = { (peterson_unfenced ()) with Config.engine = `Journal } in
-  let rj = E.explore ~max_nodes:200_000 cfg in
-  let rc = E.explore ~max_nodes:200_000 { cfg with Config.engine = `Clone } in
-  Alcotest.(check bool) "journal pushes records" true
-    (rj.E.stats.E.undo_records > 0);
-  Alcotest.(check bool) "journal has a peak" true
-    (rj.E.stats.E.journal_peak > 0);
-  Alcotest.(check int) "clone pushes none" 0 rc.E.stats.E.undo_records;
-  Alcotest.(check int) "clone has no peak" 0 rc.E.stats.E.journal_peak
+  List.iter
+    (fun engine ->
+      let name = Config.engine_name engine in
+      let r =
+        E.explore ~max_nodes:200_000
+          { (peterson_unfenced ()) with Config.engine }
+      in
+      Alcotest.(check bool) (name ^ " pushes records") true
+        (r.E.stats.E.undo_records > 0);
+      Alcotest.(check bool) (name ^ " has a peak") true
+        (r.E.stats.E.journal_peak > 0))
+    [ `Journal; `Compiled ]
 
 (* --- byte-identical Chrome export under the journal engine ------------- *)
 
@@ -287,14 +382,17 @@ let test_chrome_byte_identical () =
   in
   Alcotest.(check string) "journal replay matches the golden bytes" golden
     (export `Journal);
-  Alcotest.(check string) "clone replay matches the golden bytes" golden
-    (export `Clone);
   Alcotest.(check string) "compiled replay matches the golden bytes" golden
     (export `Compiled)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest walk_props
   @ [
+      Alcotest.test_case "oracle agrees: peterson unfenced" `Quick
+        test_oracle_peterson;
+      Alcotest.test_case "oracle agrees: mp PSO" `Quick test_oracle_mp_pso;
+      Alcotest.test_case "oracle agrees: rtas crashes<=1" `Quick
+        test_oracle_rtas;
       Alcotest.test_case "engines agree: peterson" `Quick
         test_engines_peterson;
       Alcotest.test_case "engines agree: mp PSO" `Quick test_engines_mp_pso;

@@ -101,9 +101,9 @@ let kind_set (r : Mcheck.Explore.result) =
 (* The engine configurations under comparison: the reference point (trace
    on, no reduction, single domain — the seed engine), then the
    throughput features and the partial-order reduction in every
-   combination of domains, under all three child-expansion engines
-   (clone, journal and compiled) now that all domain counts share one
-   fingerprint store. POR must be verdict-invisible everywhere. *)
+   combination of domains, under both step engines (journal and
+   compiled) now that all domain counts share one fingerprint store. POR
+   must be verdict-invisible everywhere. *)
 let with_engine engine cfg = { cfg with Config.engine }
 
 let engines =
@@ -123,14 +123,6 @@ let engines =
        Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 ~por:false cfg);
     ("parallel (por on, d=8)",
      fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 cfg);
-    ("parallel clone (por on, d=4)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4
-         (with_engine `Clone cfg));
-    ("parallel clone (por off, d=8)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 ~por:false
-         (with_engine `Clone cfg));
     ("compiled (por on, d=1)",
      fun cfg ->
        Mcheck.Explore.explore ~max_nodes:2_000_000
@@ -217,7 +209,7 @@ let test_kind_set_equiv () =
                domains por)
             expected (kind_set r))
         [ (`Journal, 1, true); (`Journal, 4, true); (`Journal, 8, false);
-          (`Clone, 4, false); (`Compiled, 1, true); (`Compiled, 4, true);
+          (`Compiled, 1, true); (`Compiled, 4, true);
           (`Compiled, 8, false) ])
     [ ("peterson unfenced", fun () -> peterson ~fenced:false);
       ("mp pso", mp_pso) ]
