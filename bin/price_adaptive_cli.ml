@@ -398,30 +398,28 @@ let verify_cmd =
       value & opt int 1
       & info [ "domains" ]
           ~doc:
-            "parallel search domains (one shared lock-free fingerprint \
-             store, work-stealing load balancing)")
+            "parallel search domains (one shared lock-striped \
+             fingerprint store, work-stealing load balancing)")
   in
   let store =
     let store_conv =
-      Arg.enum [ ("exact", `Exact); ("bitstate", `Bitstate); ("bounded", `Bounded) ]
+      Arg.enum [ ("exact", `Exact); ("bitstate", `Bitstate) ]
     in
     Arg.(
       value & opt store_conv `Exact
       & info [ "store" ]
           ~doc:
             "seen-state memory policy: exact (every state stored, the \
-             default), bitstate (SPIN-style supertrace hashing — bounded \
-             memory, verdicts carry a measured omission probability), or \
-             bounded (fixed slot count with eviction — exhaustive, pays \
-             re-exploration)")
+             default) or bitstate (SPIN-style supertrace hashing — bounded \
+             memory, verdicts carry a measured omission probability)")
   in
   let store_bits =
     Arg.(
       value & opt (some int) None
       & info [ "store-bits" ]
           ~doc:
-            "log2 of the store size: bits of the bitstate array (default \
-             26 = 8 MiB) or slots of the bounded table (default 20)")
+            "bitstate mode: log2 of the bit array's size in bits (10-36, \
+             default 26 = 8 MiB)")
   in
   let store_hashes =
     Arg.(
@@ -479,8 +477,8 @@ let verify_cmd =
           ~doc:
             "print search-internals tallies (dedup hits, sleep-set and \
              ample-set prunes, fingerprint-store occupancy, per-domain \
-             nodes, steals, evictions/drops/omission probability of the \
-             memory-bounded stores, journal depth)")
+             nodes, steals, store mode and bitstate omission probability, \
+             journal depth)")
   in
   let engine =
     let engine_conv =
@@ -549,11 +547,6 @@ let verify_cmd =
           if store_hashes < 1 || store_hashes > 8 then
             die2 "--store-hashes must be in [1, 8]";
           Tsim.Config.Store_bitstate { log2_bits; hashes = store_hashes }
-      | `Bounded ->
-          let log2_slots = Option.value store_bits ~default:20 in
-          if log2_slots < 8 || log2_slots > 30 then
-            die2 "--store-bits must be in [8, 30] for bounded";
-          Tsim.Config.Store_bounded { log2_slots }
     in
     match find_lock name with
     | Error e -> die2 "%s" e
@@ -623,7 +616,7 @@ let verify_cmd =
               chains %d (+%d fused), seen entries %d, crashes applied %d, \
               aborts applied %d\n\
               domains: %d%s, merge stall %dus, steals %d\n\
-              store: %s, evictions %d, drops %d%s\n\
+              store: %s%s\n\
               journal: peak %d records, %d undo records (%.1f/node)\n"
              s.Mcheck.Explore.dedup_hits s.Mcheck.Explore.resleeps
              s.Mcheck.Explore.sleep_prunes s.Mcheck.Explore.ample_chains
@@ -637,7 +630,6 @@ let verify_cmd =
                    (String.concat "/" (List.map string_of_int ns)))
              s.Mcheck.Explore.merge_stall_us s.Mcheck.Explore.steals
              (Tsim.Config.store_mode_name store_mode)
-             s.Mcheck.Explore.store_evictions s.Mcheck.Explore.store_drops
              (if s.Mcheck.Explore.omission_prob > 0.0 then
                 Printf.sprintf ", omission probability %.2e"
                   s.Mcheck.Explore.omission_prob

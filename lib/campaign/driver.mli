@@ -45,7 +45,7 @@ val parse_grid : string -> (Cell.t list, string) result
     integer fields accepting ranges [a-b]. Fields: [kind] (verify,
     adversary), [lock], [n], [model] (dsm, cc-wt, cc-wb), [ord] (tso,
     pso), [pass], [crashes], [aborts], [csem] (drop, flush, prefix),
-    [store] (exact, bitstate:B:H, bounded:S), [por] (on, off). [lock]
+    [store] (exact, bitstate:B:H), [por] (on, off). [lock]
     is required; every other field defaults to the {!Cell.make}
     default. The grid is the cartesian product of all dimensions:
     ["lock=peterson,ticket n=2-4 crashes=0,1"] is 12 cells. *)

@@ -182,8 +182,7 @@ type stats = {
       (* high-water undo-log depth (max over domains) *)
   undo_records : int;  (* total undo records pushed *)
   steals : int;  (* parallel mode: work items taken from other domains *)
-  store_evictions : int;  (* bounded store: states evicted under pressure *)
-  store_drops : int;  (* shared store: states left unstored (window full) *)
+  store_drops : int;  (* always 0: the seen store never drops a state *)
   omission_prob : float;
       (* bitstate store: estimated probability that the next distinct
          state falsely aliases as seen — (ones/m)^k at final fill *)
@@ -201,7 +200,7 @@ let zero_stats =
     ample_fused = 0; seen_entries = 0; crashes_applied = 0;
     aborts_applied = 0; domains_used = 1;
     domain_nodes = []; merge_stall_us = 0; journal_peak = 0;
-    undo_records = 0; steals = 0; store_evictions = 0; store_drops = 0;
+    undo_records = 0; steals = 0; store_drops = 0;
     omission_prob = 0.0; est_nodes = 0.0; est_progress = 0.0 }
 
 type result = {
@@ -218,8 +217,7 @@ type result = {
 (* One-line verdict + exit code for front ends: 0 verified, 1 violations
    found, 3 partial (budget exhausted with nothing found — NOT a
    verification; conflating it with exit 0 was a CLI bug). A "verified"
-   whose coverage is qualified — bitstate aliasing, or an exact store
-   that saturated and fell back to re-exploration — carries the
+   whose coverage is qualified by bitstate aliasing carries the
    confession on the verdict line itself, not only in --search-stats. *)
 let render_verdict r =
   if r.verified then
@@ -230,14 +228,7 @@ let render_verdict r =
              " (bitstate: distinct states may have aliased, omission \
               probability %.2e)"
              r.stats.omission_prob
-         else "")
-      ^
-      (if r.stats.store_drops > 0 then
-         Printf.sprintf
-           " (seen store saturated: %d states never stored, re-explored \
-            on every visit — consider --store bounded)"
-           r.stats.store_drops
-       else ""),
+         else ""),
       0 )
   else if r.violations <> [] then
     let kind_name = function
@@ -412,71 +403,6 @@ let fingerprint = Machine.fingerprint
 
 exception Done
 
-(* Open-addressing fingerprint -> sleep-mask table for the sequential
-   seen store. Fingerprints are already finalizer-mixed 63-bit values
-   (always >= 0, see {!Machine.fingerprint}), so the raw low bits probe
-   well and -1 can mark empty slots. Replaces [Hashtbl]: no 4-word entry
-   allocation per insert, no bucket-list chasing per lookup — the
-   admission probe is one or two cache lines. *)
-module Seenmap = struct
-  type t = {
-    mutable keys : int array;  (* -1 = empty; fingerprints are >= 0 *)
-    mutable vals : int array;  (* sleep mask last explored under *)
-    mutable mask : int;  (* capacity - 1; capacity a power of two *)
-    mutable count : int;
-  }
-
-  let create () =
-    { keys = Array.make 1024 (-1); vals = Array.make 1024 0;
-      mask = 1023; count = 0 }
-
-  let length t = t.count
-
-  (* Slot holding [fp], or the empty slot where it belongs (linear
-     probing; load factor capped at 1/2 so the scan terminates fast). *)
-  let rec probe keys mask fp i =
-    let k = Array.unsafe_get keys i in
-    if k = fp || k < 0 then i else probe keys mask fp ((i + 1) land mask)
-
-  let[@inline] lookup t fp = probe t.keys t.mask fp (fp land t.mask)
-  let[@inline] key t i = Array.unsafe_get t.keys i
-  let[@inline] value t i = Array.unsafe_get t.vals i
-  let[@inline] set_value t i z = Array.unsafe_set t.vals i z
-
-  let grow t =
-    let ncap = 2 * (t.mask + 1) in
-    let keys = Array.make ncap (-1) and vals = Array.make ncap 0 in
-    let nmask = ncap - 1 in
-    let okeys = t.keys and ovals = t.vals in
-    for i = 0 to Array.length okeys - 1 do
-      let k = Array.unsafe_get okeys i in
-      if k >= 0 then begin
-        let j = probe keys nmask k (k land nmask) in
-        Array.unsafe_set keys j k;
-        Array.unsafe_set vals j (Array.unsafe_get ovals i)
-      end
-    done;
-    t.keys <- keys;
-    t.vals <- vals;
-    t.mask <- nmask
-
-  (* [i] must be the empty slot [lookup] returned for [fp]. *)
-  let insert t i fp z =
-    Array.unsafe_set t.keys i fp;
-    Array.unsafe_set t.vals i z;
-    t.count <- t.count + 1;
-    if 2 * t.count > t.mask then grow t
-end
-
-(* Seen-state memory. The sequential default is the mask-aware hash
-   table (fingerprint -> sleep mask last explored under). Parallel
-   search — and the memory-bounded modes at any domain count — use the
-   shared lock-free store instead ({!Fpstore}), which expresses the same
-   rule as atomic claims on a per-state "remaining moves" word. *)
-type seen_store =
-  | Seen_tbl of Seenmap.t
-  | Seen_shared of Fpstore.t
-
 (* Mutable search state, one [ctx] per domain. Violation caps and tallies
    are domain-local; the seen store and the node-budget pool (parallel
    mode) are the only shared structures.
@@ -490,7 +416,7 @@ type seen_store =
    park a clone of the state (a worker's deque for thieves to steal, or
    the BFS seed's queue) instead of recursing. *)
 type ctx = {
-  seen : seen_store;
+  seen : Fpstore.t;
   dedup : bool;
   por : bool;
   codec : Footprint.codec;
@@ -547,12 +473,9 @@ type ctx = {
   mutable prof_jbase : int;  (* Journal.records at the previous record *)
 }
 
-let make_ctx ?seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
+let make_ctx ~seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
     ?stop ?deadline ?(obs = Obs.Telemetry.null) ?(paranoid = false) ?est
     ?profile ~dedup ~por ~codec ~on_spin ~max_nodes ~max_violations () =
-  let seen =
-    match seen with Some s -> s | None -> Seen_tbl (Seenmap.create ())
-  in
   let sleepable = por && codec.Footprint.encodable in
   let decoded =
     if sleepable then
@@ -571,30 +494,27 @@ let make_ctx ?seen ?pool ?on_fingerprint ?(max_crashes = 0) ?(max_aborts = 0)
     t_start_us = Obs.Telemetry.now_us obs; est; prof = profile;
     prof_cls = cls_root; prof_rmr = 0; prof_jbase = 0 }
 
-let seen_len ctx =
-  match ctx.seen with
-  | Seen_tbl tbl -> Seenmap.length tbl
-  | Seen_shared st -> Fpstore.entries st
-
+(* This ctx's own tallies. Store-level figures (occupancy, omission) are
+   global and other domains may still be inserting, so they are read
+   only after the join ({!with_store_stats}). *)
 let stats_of_ctx ctx =
-  let store_evictions, store_drops, omission_prob =
-    match ctx.seen with
-    | Seen_tbl _ -> (0, 0, 0.0)
-    | Seen_shared st ->
-        (Fpstore.evictions st, Fpstore.drops st, Fpstore.omission_prob st)
-  in
   { zero_stats with
     dedup_hits = ctx.c_dedup; resleeps = ctx.c_resleeps;
     sleep_prunes = ctx.c_sleep_prunes; ample_chains = ctx.c_chains;
-    ample_fused = ctx.c_fused; seen_entries = seen_len ctx;
-    crashes_applied = ctx.c_crashes; aborts_applied = ctx.c_aborts;
+    ample_fused = ctx.c_fused; crashes_applied = ctx.c_crashes;
+    aborts_applied = ctx.c_aborts;
     domain_nodes = [ ctx.nodes ];
     journal_peak = ctx.c_jpeak; undo_records = ctx.c_jrecords;
-    steals = ctx.c_steals; store_evictions; store_drops; omission_prob;
+    steals = ctx.c_steals;
     est_nodes =
       (match ctx.est with Some e -> Obs.Estimator.estimate e | None -> 0.);
     est_progress =
       (match ctx.est with Some e -> Obs.Estimator.progress e | None -> 0.) }
+
+let with_store_stats st s =
+  { s with
+    seen_entries = Fpstore.entries st;
+    omission_prob = Fpstore.omission_prob st }
 
 (* Charge the node budget for one expansion: burn local quota, then
    claim another chunk from the shared pool. Chunked claims (256 nodes)
@@ -641,7 +561,7 @@ let heartbeat ctx depth now =
   setc "explore.dedup_hits" ctx.c_dedup;
   setc "explore.sleep_prunes" ctx.c_sleep_prunes;
   setc "explore.ample_fused" ctx.c_fused;
-  setc "explore.seen_entries" (seen_len ctx);
+  setc "explore.seen_entries" (Fpstore.entries ctx.seen);
   setc "explore.crashes_applied" ctx.c_crashes;
   setc "explore.aborts_applied" ctx.c_aborts;
   setc "explore.violations" ctx.nviol;
@@ -848,19 +768,19 @@ let filter_sleep ctx m mv z =
   end
 
 (* Admit a successor state through the seen store, dedup'ing with the
-   mask-aware rule. A fingerprint stored with mask [z'] was explored
-   covering every execution not starting in [z']; arriving again with
-   sleep [z]:
-   - z' ⊆ z: nothing new to do, prune ([None]);
+   mask-aware rule. A fingerprint explored under sleep mask [z'] covered
+   every execution not starting in [z']; arriving again with sleep [z]:
+   - z' ⊆ z: nothing new to do, prune;
    - otherwise re-explore only the moves slept before but wanted now
-     (sleep z ∪ ¬z') and record the new coverage (store z ∩ z').
+     (sleep z ∪ ¬z') and record the new coverage (z ∩ z').
 
-   The shared store expresses the same rule as claims on the "remaining
-   moves" word: this visit's cover is ¬z (∩ full), the fetch-and hands
-   back exactly the not-yet-owed intersection [fresh], and the child
-   re-explores under sleep ¬fresh — for a fresh state (remaining was
-   all-ones) that is z itself, and coverage merging is the commutative
-   intersection the sequential rule computes in order. *)
+   The store keeps that rule as a per-state "remaining moves" word
+   (initially ¬cover of the first visit, i.e. z'): this visit's cover
+   is ¬z (∩ full), the store grants the intersection with the remaining
+   word and clears it, and the child explores under sleep ¬granted —
+   z itself for a new state. Bitstate grants a new state every move
+   (child sleep 0: a one-bit store cannot remember slept moves, so the
+   first visit must cover everything) and prunes every revisit. *)
 let admit_pruned = min_int
 (* [seen_admit] returns the child sleep mask, or [admit_pruned] when the
    revisit is covered — an int sentinel rather than an option so the
@@ -868,59 +788,21 @@ let admit_pruned = min_int
 
 let seen_admit ctx fp z =
   if not ctx.dedup then z
-  else
-    match ctx.seen with
-    | Seen_tbl tbl ->
-        let i = Seenmap.lookup tbl fp in
-        if Seenmap.key tbl i < 0 then begin
-          Seenmap.insert tbl i fp z;
-          z
-        end
-        else begin
-          let z' = Seenmap.value tbl i in
-          if z' land lnot z = 0 then begin
-            ctx.c_dedup <- ctx.c_dedup + 1;
-            admit_pruned
-          end
-          else begin
-            ctx.c_resleeps <- ctx.c_resleeps + 1;
-            Seenmap.set_value tbl i (z' land z);
-            let full = Footprint.full_mask ctx.codec in
-            (z lor lnot z') land full
-          end
-        end
-    | Seen_shared st ->
-        if not (Fpstore.masks st) then (
-          (* Bitstate keeps one seen-bit per state, no mask: the FIRST
-             visit decides coverage forever, so it must cover the full
-             move set — admit with an empty sleep mask, sacrificing the
-             sleep-set reduction at this subtree root. A revisit then
-             prunes soundly up to hash aliasing, which is exactly what
-             omission_prob accounts for; admitting under a nonempty
-             sleep would instead lose slept interleavings with no
-             accounting at all. *)
-          match Fpstore.visit st ~fp ~cover:(-1) with
-          | Fpstore.New -> 0
-          | Fpstore.Covered | Fpstore.Partial _ ->
-              ctx.c_dedup <- ctx.c_dedup + 1;
-              admit_pruned)
-        else (
-          (* max_int, not -1: the store masks covers to their 63-bit
-             magnitude, so an already-positive all-moves cover keeps the
-             [fresh = cover] comparisons below exact *)
-          let cover =
-            if ctx.sleepable then lnot z land Footprint.full_mask ctx.codec
-            else max_int
-          in
-          match Fpstore.visit st ~fp ~cover with
-          | Fpstore.New -> z
-          | Fpstore.Covered ->
-              ctx.c_dedup <- ctx.c_dedup + 1;
-              admit_pruned
-          | Fpstore.Partial fresh ->
-              if fresh <> cover then ctx.c_resleeps <- ctx.c_resleeps + 1;
-              if ctx.sleepable then lnot fresh land Footprint.full_mask ctx.codec
-              else 0)
+  else begin
+    let full = Footprint.full_mask ctx.codec in
+    let cover = if ctx.sleepable then lnot z land full else max_int in
+    let granted = Fpstore.visit ctx.seen ~fp ~cover in
+    if granted = 0 then begin
+      ctx.c_dedup <- ctx.c_dedup + 1;
+      admit_pruned
+    end
+    else begin
+      (* a nonnegative grant is a revisit: a re-exploration under a
+         narrower sleep set *)
+      if granted > 0 then ctx.c_resleeps <- ctx.c_resleeps + 1;
+      if ctx.sleepable then lnot granted land full else 0
+    end
+  end
 
 (* Hand a just-admitted subtree to the installed delegate (parallel mode:
    a worker's deque or the BFS seed's queue), if it is willing. *)
@@ -1230,7 +1112,7 @@ let result_of_ctx ctx ~exhausted =
     violations = List.rev ctx.violations;
     max_depth = ctx.max_depth;
     partial = (if exhausted then None else ctx.stopped);
-    stats = stats_of_ctx ctx;
+    stats = with_store_stats ctx.seen (stats_of_ctx ctx);
   }
 
 (* A parked subtree: an independent machine plus the search coordinates
@@ -1288,7 +1170,7 @@ let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
       est_cfg
   in
   let ctx =
-    make_ctx ~seen:(Seen_shared store) ~pool ~max_crashes ~max_aborts ?stop
+    make_ctx ~seen:store ~pool ~max_crashes ~max_aborts ?stop
       ?deadline ~paranoid ~dedup ~por ~codec ~on_spin ~max_nodes:0
       ~max_violations ?est ?profile:profile_shard ()
   in
@@ -1387,7 +1269,7 @@ let shared_worker ~paranoid ~store ~pool ~deques ~busy ~d ~dedup ~por
     o_stopped = ctx.stopped; o_tagged = List.rev !tagged;
     o_stats = stats_of_ctx ctx; o_t0 = t0; o_t1 = t1 }
 
-let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
+let explore_parallel ~store ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
     ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs ~paranoid
     ~estimator ~profile cfg =
   (* the BFS seed expands on the coordinator through the journal DFS,
@@ -1400,11 +1282,8 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
      runs alone until the spawn) but carries no estimator: queue-order
      BFS breaks the enter/leaf/leave stack discipline, so the parallel
      estimate is [exact BFS nodes + Σ per-subtree worker estimates]. *)
-  let store =
-    Fpstore.create ~mode:cfg.Config.store ~expected:max_nodes
-  in
   let ctx =
-    make_ctx ~seen:(Seen_shared store) ~max_crashes ~max_aborts ?stop
+    make_ctx ~seen:store ~max_crashes ~max_aborts ?stop
       ?deadline ~obs ~paranoid ~dedup ~por ~codec ~on_spin ~max_nodes
       ~max_violations ?profile ()
   in
@@ -1498,9 +1377,8 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
       (* Merged search stats: coordinator (BFS seed) tallies plus every
          domain's. A domain that finishes early idles until the slowest
          one joins — that idle window, summed over domains, is the merge
-         stall. Store-level tallies (occupancy, evictions, drops,
-         omission) are global: read once from the shared store, not
-         summed. *)
+         stall. Store-level tallies (occupancy, omission) are global:
+         read once from the shared store after the join, not summed. *)
       let last_finish =
         Array.fold_left (fun a p -> max a p.o_t1) wall0 parts
       in
@@ -1528,13 +1406,7 @@ let explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por ~codec
           { (stats_of_ctx ctx) with domains_used = k; domain_nodes = [] }
           parts
       in
-      let stats =
-        { stats with
-          seen_entries = Fpstore.entries store;
-          store_evictions = Fpstore.evictions store;
-          store_drops = Fpstore.drops store;
-          omission_prob = Fpstore.omission_prob store }
-      in
+      let stats = with_store_stats store stats in
       (* parallel estimate: the BFS seed is exact (ctx.nodes), each worker
          estimated the subtrees it actually ran; progress is the
          unweighted mean over domains *)
@@ -1660,7 +1532,6 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
       Obs.Telemetry.set (t "explore.aborts_applied") r.stats.aborts_applied;
       Obs.Telemetry.set (t "explore.violations") (List.length r.violations);
       Obs.Telemetry.set (t "explore.steals") r.stats.steals;
-      Obs.Telemetry.set (t "explore.store_evictions") r.stats.store_evictions;
       Obs.Telemetry.set (t "explore.store_drops") r.stats.store_drops;
       Obs.Telemetry.flush_counters obs;
       if r.stats.omission_prob > 0.0 then
@@ -1676,26 +1547,20 @@ let explore ?(max_nodes = 500_000) ?(max_violations = 1) ?(dedup = true)
     end;
     r
   in
+  (* one store at every domain count: it grows with the space, so it
+     is not presized from the node budget *)
+  let store = Fpstore.create ~mode:cfg.Config.store ~expected:0 in
   if domains > 1 then
     finish
-      (explore_parallel ~domains ~max_nodes ~max_violations ~dedup ~por
-         ~codec ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs
+      (explore_parallel ~store ~domains ~max_nodes ~max_violations ~dedup
+         ~por ~codec ~on_spin ~max_crashes ~max_aborts ~stop ~deadline ~obs
          ~paranoid:paranoid_fp ~estimator ~profile cfg)
   else begin
-    (* one domain: the hash table serves the exact mode (no
-       synchronization to pay for); the memory-bounded modes go through
-       the shared store even sequentially, so their semantics do not
-       depend on the domain count *)
-    let seen =
-      match cfg.Config.store with
-      | Config.Store_exact -> Seen_tbl (Seenmap.create ())
-      | mode -> Seen_shared (Fpstore.create ~mode ~expected:max_nodes)
-    in
     let est =
       Option.map (fun c -> Obs.Estimator.create ~cfg:c ()) estimator
     in
     let ctx =
-      make_ctx ~seen ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
+      make_ctx ~seen:store ?on_fingerprint ~max_crashes ~max_aborts ?stop ?deadline
         ~obs ~paranoid:paranoid_fp ~dedup ~por ~codec ~on_spin ~max_nodes
         ~max_violations ?est ?profile ()
     in

@@ -73,7 +73,7 @@
 
     - {b Sleep sets with mask-aware caching.} After exploring move [a] at
       a state, [a] is put to sleep for later siblings' subtrees and woken
-      by the first dependent move. The seen-table stores, per
+      by the first dependent move. The seen store keeps, per
       fingerprint, the sleep mask the state was explored under; a
       revisit under sleep [z] against stored [z'] is pruned when
       [z' ⊆ z] and otherwise re-explores exactly the uncovered moves
@@ -144,10 +144,9 @@ type stats = {
   ample_chains : int;  (** singleton-ample chases started *)
   ample_fused : int;  (** extra singleton moves fused into those chases *)
   seen_entries : int;
-      (** seen-store occupancy at the end. Sequential exact mode: hash
-          table size; shared store (parallel, or any memory-bounded
-          mode): the ONE global store's occupancy — domains share it, so
-          this is a global count, not a per-domain sum *)
+      (** seen-store occupancy at the end — one store shared by every
+          domain, so this is a global count, read after the join, not a
+          per-domain sum *)
   crashes_applied : int;  (** crash moves executed (≠ distinct schedules) *)
   aborts_applied : int;  (** abort moves executed (≠ distinct schedules) *)
   domains_used : int;
@@ -165,17 +164,14 @@ type stats = {
   steals : int;
       (** parallel mode: work items taken from another domain's deque
           (load-balancing events); 0 for the sequential engine *)
-  store_evictions : int;
-      (** [Store_bounded]: states evicted from the full store; each may
-          cost one re-exploration of its subtree, never soundness *)
   store_drops : int;
-      (** shared store: states left unstored (probe window or eviction
-          retries exhausted) and therefore re-explored on every visit *)
+      (** always 0: the seen store grows instead of dropping states.
+          Kept for existing run-record consumers *)
   omission_prob : float;
       (** [Store_bitstate]: estimated probability that the next distinct
           state falsely aliases as already-seen at the final bit-array
-          fill — [(ones/m)^k] ({!Fpstore.omission_prob}); 0.0 in the
-          exact and bounded modes *)
+          fill — [(ones/m)^k] ({!Fpstore.omission_prob}); 0.0 in exact
+          mode *)
   est_nodes : float;
       (** online Knuth estimate of the TOTAL (pruned) search-space size,
           live mid-search and final at the end; 0.0 when the estimator is
@@ -208,9 +204,8 @@ val render_verdict : result -> string * int
     assigns it: [VERIFIED] → 0, [VIOLATION] → 1, [PARTIAL] (a cap or
     deadline stopped the search with no violation found) → 3. Exit code
     2 is reserved for bad input. A [VERIFIED] line confesses qualified
-    coverage inline: nonzero [omission_prob] (bitstate aliasing) and
-    nonzero [store_drops] (a saturated exact store that fell back to
-    re-exploration) are appended rather than hidden in the stats. *)
+    coverage inline: a nonzero [omission_prob] (bitstate aliasing) is
+    appended rather than hidden in the stats. *)
 
 val enabled_moves :
   ?max_crashes:int -> ?max_aborts:int -> Machine.t -> move list
@@ -321,9 +316,9 @@ val explore :
     [~domains:k] with [k > 1] expands the root breadth-first until at
     least [8k] pending states exist, then parks that frontier on [k]
     work-stealing deques ({!Deque}, round-robin) served by [k] OCaml
-    domains. All domains dedup against ONE shared lock-free fingerprint
-    store ({!Fpstore}) — every reachable state is claimed by exactly one
-    visitor, so [nodes] matches the sequential count when sleep masks
+    domains. All domains dedup against ONE shared lock-striped
+    fingerprint store ({!Fpstore}) — every move of every reachable state
+    is granted to exactly one visitor, so [nodes] matches the sequential count when sleep masks
     are trivial ([~por:false], or a non-encodable move space) and the
     search is not cut by a cap. Domains load-balance by stealing parked
     subtrees from each other and draw node budget from a shared pool in
@@ -341,17 +336,15 @@ val explore :
     states travel with them, so the reduction composes with the parallel
     driver unchanged (see DESIGN.md §5f for the soundness argument).
 
-    The seen-state memory policy is selected by {!Config.t.store}:
-    [Store_exact] (default), or the memory-bounded [Store_bitstate] /
-    [Store_bounded] modes, which run through the shared store at every
-    domain count — bitstate verdicts of [verified] carry the
-    [omission_prob] caveat; bounded mode stays exhaustive and pays
-    re-exploration for evictions. Under bitstate the sleep-set
-    reduction is suspended at each newly-admitted state (the one-bit
-    store cannot remember which moves were slept, so first-visit
-    coverage must be full — see {!Fpstore.masks}); hash aliasing is
-    then the {e only} omission channel, and it is the one
-    [omission_prob] measures.
+    The seen-state memory policy is selected by {!Config.t.store}, and
+    the same {!Fpstore} serves it at every domain count: [Store_exact]
+    (default; grows with the space, never drops a state) or the
+    fixed-memory [Store_bitstate], whose verdicts of [verified] carry
+    the [omission_prob] caveat. Under bitstate the sleep-set reduction
+    is suspended at each newly-admitted state (the one-bit store cannot
+    remember which moves were slept, so first-visit coverage must be
+    full); hash aliasing is then the {e only} omission channel, and it
+    is the one [omission_prob] measures.
 
     Children are expanded by one path: each domain steps one machine in
     place and rolls back through {!Machine.Journal} after each subtree.

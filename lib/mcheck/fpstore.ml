@@ -1,19 +1,18 @@
-(* Shared lock-free fingerprint store. See fpstore.mli for the protocol
-   overview and DESIGN.md §5f for the soundness argument; the short form
-   of the invariant maintained here is:
+(* Shared fingerprint store. See fpstore.mli for the protocol overview
+   and DESIGN.md §5f for the exactly-once argument; the short form is:
 
-     every remaining-word transition either HANDS OUT bits (fetch_and, to
-     a visitor who then explores them) or RESURRECTS bits (a store of
-     all-ones), never silently discards them — so for every state, the
-     union of move sets handed out over time covers the union of move
-     sets requested. Exact mode never resurrects (its masks only ever
-     shrink), so there each bit is granted exactly once and the node
-     count is race-free; bounded mode resurrects around evictions, so a
-     lost race there costs re-exploration, never coverage.
+     exact mode: every visit of a fingerprint runs under its shard's
+     lock, reads the state's remaining-moves word, hands out its
+     intersection with the visitor's cover and clears those bits before
+     the lock is released. Visits of one state are therefore totally
+     ordered, the remaining word only ever shrinks, and each move bit is
+     granted to exactly one visitor.
 
-   The flat region is a Bigarray of kind [int]: untagged native words,
-   malloc'd outside the OCaml heap (stable pointer, shareable across
-   domains), accessed through the __atomic stubs in fpstore_stubs.c. *)
+   The per-shard tables are ordinary OCaml int arrays, touched only under
+   the shard lock. The lock words and counters live in a small Bigarray
+   of kind [int] (untagged native words, malloc'd outside the OCaml heap,
+   shareable across domains), accessed through the __atomic stubs in
+   fpstore_stubs.c. *)
 
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -21,71 +20,51 @@ external a_get : buf -> int -> int = "pa_fps_get" [@@noalloc]
 external a_set : buf -> int -> int -> unit = "pa_fps_set" [@@noalloc]
 external a_cas : buf -> int -> int -> int -> bool = "pa_fps_cas" [@@noalloc]
 
-external a_fetch_and : buf -> int -> int -> int = "pa_fps_fetch_and"
-  [@@noalloc]
-
-external a_fetch_or : buf -> int -> int -> int = "pa_fps_fetch_or"
-  [@@noalloc]
-
 external a_fetch_add : buf -> int -> int -> int = "pa_fps_fetch_add"
   [@@noalloc]
 
-external a_fence : unit -> unit = "pa_fps_fence" [@@noalloc]
+external a_test_and_set_bit : buf -> int -> bool = "pa_fps_test_and_set_bit"
+  [@@noalloc]
 
-type kind =
-  | K_exact
-  | K_bounded
-  | K_bits of { words : int; hashes : int }
-
+(* Exact mode: one open-addressing table per shard (linear probing,
+   doubled once its load passes 1/2), touched only under the shard's
+   lock. A slot is two adjacent words — the fingerprint (-1 = empty;
+   stored fingerprints are >= 0) and the moves not yet granted for it —
+   so a visit costs one cache miss. Bitstate mode has no tables and uses
+   [bits] instead. *)
 type t = {
-  kind : kind;
-  data : buf;
-      (* exact/bounded: 2 words per slot (fp, remaining); bitstate: the
-         bit array, 32 usable bits per word *)
-  stats : buf;  (* striped counters, one 8-cell cache line per stripe *)
-  evseq : buf;
-      (* bounded: per-shard eviction seqlock — a start counter and a
-         finish counter, each on its own cache line (see [evict]) *)
-  slots : int;  (* exact/bounded; 0 for bitstate *)
-  n_shards : int;
-  shard_size : int;  (* slots / n_shards, a power of two *)
-  shard_bits : int;  (* log2 n_shards *)
-  window : int;  (* linear-probe window within a shard *)
+  tabs : int array array;  (* per shard *)
+  lines : buf;
+      (* one 8-word (64-byte) line per shard, or per counter stripe in
+         bitstate mode, so concurrent visitors of unrelated states touch
+         different cache lines. malloc aligns the buffer to 16 bytes,
+         so the two hot words at offsets 0 and 1 never share a cache
+         line with another shard's. Offsets within a line: *)
+  bits : buf;
+  nbits : int;  (* 0 in exact mode *)
+  hashes : int;
 }
 
-type visit = New | Covered | Partial of int
+let o_lock = 0  (* exact: 0 free, 1 held *)
+let o_ones = 0  (* bitstate: bits newly set *)
+let o_entries = 1
+let o_slots = 2  (* exact: slot count of the shard's table *)
+let o_growing = 3  (* exact: 1 while a domain allocates the next table *)
+let shard_bits = 4
+let n_shards = 1 lsl shard_bits
+let line s = s * 8
 
-(* --- counters ---------------------------------------------------------- *)
+(* Fingerprints are already finalizer-mixed (Machine.fingerprint), so
+   the home slot is their raw low bits, as in any table keyed by them.
+   The shard takes the top bits of a Fibonacci-hash product instead:
+   they depend on every fingerprint bit, so states spread over the
+   shards even when a caller's fingerprints are small integers. *)
+let shard_of fp = (fp * 0x9E3779B97F4A7C1) lsr (63 - shard_bits)
 
-(* 16 stripes, 8 words apart so each stripe owns a 64-byte line; the
-   stripe is picked from fingerprint bits so concurrent visitors of
-   unrelated states bump different lines. Offsets within a stripe: *)
-let o_entries = 0
-let o_evictions = 1
-let o_drops = 2
-let o_ones = 3  (* bitstate: bits newly set *)
-
-let n_stripes = 16
-let stripe fp = (fp lsr 7) land (n_stripes - 1)
-let bump t fp off v = ignore (a_fetch_add t.stats ((stripe fp * 8) + off) v)
-
-let total t off =
-  let s = ref 0 in
-  for i = 0 to n_stripes - 1 do
-    s := !s + a_get t.stats ((i * 8) + off)
-  done;
-  !s
-
-(* --- hashing ----------------------------------------------------------- *)
-
-(* murmur3-style finalizer over the native int, result forced positive.
-   Fingerprints are already Zobrist-uniform, but the store indexes with
-   LOW bits while the shard uses HIGH bits, and bitstate mode needs k
-   independent remixes — one strong mixer serves all three. The
+(* murmur3-style finalizer over the native int, result forced positive:
+   bitstate mode needs k independent remixes of one fingerprint. The
    multipliers are the canonical 64-bit fmix constants reduced to 63
-   bits (shifted right one hex digit) with the low bit forced to 1: an
-   even multiplier would zero the low result bit of the first stage,
-   and the slot index is taken from exactly those low bits. *)
+   bits with the low bit forced to 1. *)
 let mix x =
   let x = x lxor (x lsr 33) in
   let x = x * 0xFF51AFD7ED558CD in
@@ -93,255 +72,165 @@ let mix x =
   let x = x * 0xC4CEB9FE1A85EC5 in
   (x lxor (x lsr 32)) land max_int
 
-(* The fingerprint word uses 0 as the empty sentinel, so a genuine
-   fingerprint of 0 (and negatives, for clean shard arithmetic) is
-   remapped to a fixed nonzero constant / its 63-bit magnitude. *)
-let canonical fp =
-  let fp = fp land max_int in
-  if fp = 0 then 0x2B992DDFA232 else fp
-
-(* Mid-eviction marker for the fingerprint word. Canonical fingerprints
-   are nonnegative and the empty sentinel is 0, so a negative value can
-   never collide with either; a probing visitor treats it like any other
-   mismatch and a found-path visitor's recheck treats it as "slot stolen
-   underneath me". *)
-let tombstone = min_int
-
-(* The remaining word's sign bit doubles as an "initialized" marker:
-   covers are stripped to their 62 nonnegative bits on entry, so every
-   claim leaves the sign bit set and an initialized-but-fully-claimed
-   word is [min_int], never 0 again. That keeps the one-shot pristine →
-   all-ones CAS initialization in [visit_slots] sound — a visitor
-   stalled across the whole claim cycle cannot re-initialize the word
-   and resurrect already-granted bits — which in turn makes each move
-   bit granted EXACTLY once in exact mode (the [nodes] determinism the
-   .mli promises for trivial masks: one expansion per state). *)
-let strip cover = cover land max_int
-
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
-
 let make_buf len : buf =
   let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
   Bigarray.Array1.fill b 0;
   b
 
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+(* [slots] empty slots (a remaining word is read only once its slot
+   holds a key) *)
+let make_table slots = Array.make (2 * slots) (-1)
+let slots tab = Array.length tab / 2
+
+let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
 let create ~mode ~expected =
-  let slot_store slots kind =
-    let slots = next_pow2 slots 1 in
-    let n_shards = max 1 (min 64 (slots / 64)) in
-    let shard_size = slots / n_shards in
-    { kind; data = make_buf (2 * slots); stats = make_buf (n_stripes * 8);
-      evseq = make_buf (n_shards * 16); slots; n_shards; shard_size;
-      shard_bits = log2 n_shards; window = min shard_size 64 }
-  in
+  let lines = make_buf (n_shards * 8) in
   match (mode : Tsim.Config.store_mode) with
   | Tsim.Config.Store_exact ->
-      let want = expected + (2 * expected / 5) in
-      slot_store (max 4096 (min want (1 lsl 23))) K_exact
-  | Tsim.Config.Store_bounded { log2_slots } ->
-      slot_store (1 lsl log2_slots) K_bounded
+      let cap = next_pow2 (2 * expected / n_shards) 16 in
+      for s = 0 to n_shards - 1 do
+        a_set lines (line s + o_slots) cap
+      done;
+      { tabs = Array.init n_shards (fun _ -> make_table cap); lines;
+        bits = make_buf 0; nbits = 0; hashes = 0 }
   | Tsim.Config.Store_bitstate { log2_bits; hashes } ->
-      let words = max 32 (1 lsl (log2_bits - 5)) in
-      { kind = K_bits { words; hashes }; data = make_buf words;
-        stats = make_buf (n_stripes * 8); evseq = make_buf 16; slots = 0;
-        n_shards = 1; shard_size = 0; shard_bits = 0; window = 0 }
+      let nbits = 1 lsl log2_bits in
+      { tabs = [||]; lines; bits = make_buf (nbits / 64); nbits; hashes }
+
+(* --- exact ------------------------------------------------------------- *)
+
+(* Test-and-test-and-set: spin on plain reads, CAS only when free. *)
+let rec lock_slow lines w =
+  while a_get lines w <> 0 do
+    Domain.cpu_relax ()
+  done;
+  if not (a_cas lines w 0 1) then lock_slow lines w
+
+let[@inline] lock lines w = if not (a_cas lines w 0 1) then lock_slow lines w
+let[@inline] unlock lines w = a_set lines w 0
+
+(* Slot holding [fp], or the empty slot where it belongs. *)
+let rec probe tab mask fp i =
+  let k = Array.unsafe_get tab (2 * i) in
+  if k = fp || k < 0 then i else probe tab mask fp ((i + 1) land mask)
+
+(* Move every entry of shard [s]'s table into [tab] and install it.
+   Runs under the shard lock and allocates nothing. *)
+let rehash t s tab =
+  let old = t.tabs.(s) and mask = slots tab - 1 in
+  for i = 0 to slots old - 1 do
+    let k = Array.unsafe_get old (2 * i) in
+    if k >= 0 then begin
+      let j = probe tab mask k (k land mask) in
+      Array.unsafe_set tab (2 * j) k;
+      Array.unsafe_set tab ((2 * j) + 1) (Array.unsafe_get old ((2 * i) + 1))
+    end
+  done;
+  t.tabs.(s) <- tab;
+  a_set t.lines (line s + o_slots) (slots tab);
+  a_set t.lines (line s + o_growing) 0
+
+(* Double shard [s] from [cap] slots. The new table is allocated before
+   the lock is taken: a large allocation runs GC work, which other
+   domains must not wait on. If the shard grew under the lock meanwhile
+   (see [insert]), this table is dropped. *)
+let grow t s cap =
+  let tab = make_table (2 * cap) in
+  let w = line s + o_lock in
+  lock t.lines w;
+  if slots t.tabs.(s) = cap then rehash t s tab;
+  unlock t.lines w
+
+(* Insert [fp] at empty slot [i] of the locked shard [s]; the new state
+   owes every move outside [cover]. Returns true to the first inserter
+   that pushes the load past 1/2, which then grows the shard once it has
+   released the lock; the [o_growing] flag keeps other domains from
+   allocating tables of their own meanwhile. Should racing inserts push
+   the load past 3/4 before that growth lands, the shard grows here,
+   under the lock, so probing always finds an empty slot; if that
+   allocation fails (out of memory) the lock is released before
+   re-raising, so other domains see a dead worker rather than spin
+   forever. *)
+let insert t s tab i fp cover =
+  Array.unsafe_set tab (2 * i) fp;
+  Array.unsafe_set tab ((2 * i) + 1) (lnot cover);
+  let w = line s in
+  let n = a_fetch_add t.lines (w + o_entries) 1 + 1 and cap = slots tab in
+  if 4 * n > 3 * cap then begin
+    match rehash t s (make_table (2 * cap)) with
+    | () -> false
+    | exception e ->
+        unlock t.lines (w + o_lock);
+        raise e
+  end
+  else if 2 * n > cap - 1 && a_get t.lines (w + o_growing) = 0 then begin
+    a_set t.lines (w + o_growing) 1;
+    true
+  end
+  else false
+
+let visit_exact t fp cover =
+  let s = shard_of fp in
+  let w = line s + o_lock in
+  lock t.lines w;
+  let tab = Array.unsafe_get t.tabs s in
+  let mask = slots tab - 1 in
+  let i = probe tab mask fp (fp land mask) in
+  if Array.unsafe_get tab (2 * i) = fp then begin
+    let rem = Array.unsafe_get tab ((2 * i) + 1) in
+    Array.unsafe_set tab ((2 * i) + 1) (rem land lnot cover);
+    unlock t.lines w;
+    rem land cover
+  end
+  else begin
+    let due = insert t s tab i fp cover in
+    unlock t.lines w;
+    if due then grow t s (mask + 1);
+    cover lor min_int
+  end
 
 (* --- bitstate ---------------------------------------------------------- *)
 
-(* k fetch_or bits per state; a state whose bits were all already set is
-   treated as seen (possibly falsely — that is the omission the caller
-   reads from [omission_prob]). No masks: the first visitor's coverage
-   claim is taken at face value, SPIN-supertrace style. *)
-let visit_bits t ~words ~hashes fp =
+(* k test-and-set bits per state; a state whose bits were all already
+   set is treated as seen (possibly falsely — that is the omission the
+   caller reads from [omission_prob]). No masks: the first visit claims
+   the full cover, SPIN-supertrace style. *)
+let visit_bits t fp =
   let newbits = ref 0 in
-  for i = 0 to hashes - 1 do
+  for i = 0 to t.hashes - 1 do
     let h = mix (fp + (((i * 2) + 1) * 0x9E3779B97F4A7C1)) in
-    let w = (h lsr 5) land (words - 1) in
-    let b = 1 lsl (h land 31) in
-    let old = a_fetch_or t.data w b in
-    if old land b = 0 then incr newbits
+    if not (a_test_and_set_bit t.bits (h land (t.nbits - 1))) then
+      incr newbits
   done;
-  if !newbits = 0 then Covered
+  if !newbits = 0 then 0
   else begin
-    bump t fp o_entries 1;
-    bump t fp o_ones !newbits;
-    New
+    let w = line ((fp lsr 7) land (n_shards - 1)) in
+    ignore (a_fetch_add t.lines (w + o_entries) 1);
+    ignore (a_fetch_add t.lines (w + o_ones) !newbits);
+    -1
   end
-
-(* --- exact / bounded --------------------------------------------------- *)
-
-(* Per-shard eviction seqlock. Slot recycling is the one place a found
-   visitor can be handed the WRONG state's remaining word, and the
-   fingerprint-word recheck alone cannot close it: the slot can cycle
-   victim → fp' → victim between a visitor's fetch_and and its recheck
-   (the same fingerprint legitimately re-inserted through a second
-   eviction), so the recheck passes while the claimed bits belonged to
-   a dead incarnation — an ABA that silently un-owes moves. Each shard
-   therefore counts evictions twice: [ev_start] is bumped before an
-   eviction touches the slot and [ev_finish] after it has published.
-   A found visitor in bounded mode trusts its fetch_and only if no
-   eviction was in flight before it (start = finish) and none started
-   before its recheck (start unchanged); otherwise it resurrects the
-   word and serves its own cover (re-exploration, sound). The counters
-   live a cache line apart per shard, and false alarms (an eviction of
-   an unrelated slot in the same shard) only cost re-exploration. *)
-let ev_start shard = shard * 16
-let ev_finish shard = (shard * 16) + 8
-
-(* Consume [cover] from a found slot: the fetch_and atomically claims
-   remaining ∩ cover for this visitor. Exact mode never recycles slots,
-   so the claim is trustworthy as-is. *)
-let found_exact t ~ci cover =
-  let old = a_fetch_and t.data (ci + 1) (lnot cover) in
-  let fresh = old land cover in
-  if fresh = 0 then Covered else Partial fresh
-
-(* Bounded mode wraps the same claim in the shard seqlock (above) plus
-   the fingerprint recheck; any doubt falls to self-service. *)
-let found_bounded t ~shard ~ci fp cover =
-  let s1 = a_get t.evseq (ev_start shard) in
-  let f1 = a_get t.evseq (ev_finish shard) in
-  if s1 <> f1 then Partial cover  (* eviction in flight: touch nothing *)
-  else begin
-    let old = a_fetch_and t.data (ci + 1) (lnot cover) in
-    a_fence ();
-    if a_get t.data ci <> fp || a_get t.evseq (ev_start shard) <> s1
-    then begin
-      (* the slot may have been recycled underneath the fetch_and:
-         resurrect whatever we clawed (a stale clear only ever costs
-         the new occupant re-exploration) and self-serve *)
-      a_set t.data (ci + 1) (-1);
-      Partial cover
-    end
-    else
-      let fresh = old land cover in
-      if fresh = 0 then Covered else Partial fresh
-  end
-
-let visit_slots t fp cover =
-  let cover = strip cover in
-  let shard = (fp lsr (62 - t.shard_bits)) land (t.n_shards - 1) in
-  let base = shard * t.shard_size in
-  let home = mix fp land (t.shard_size - 1) in
-  (* [attempt] bounds eviction retries: each retry means another visitor
-     just won a CAS on the home slot, so progress is global even when we
-     personally give up and fall back to an unstored exploration. *)
-  let rec probe i attempt =
-    if i >= t.window then overflow attempt
-    else begin
-      let s = base + ((home + i) land (t.shard_size - 1)) in
-      let ci = 2 * s in
-      let stored = a_get t.data ci in
-      if stored = fp then
-        match t.kind with
-        | K_bounded -> found_bounded t ~shard ~ci fp cover
-        | K_exact | K_bits _ -> found_exact t ~ci cover
-      else if stored = 0 then begin
-        (* Initialize the remaining word to all-ones exactly once (CAS
-           from pristine 0 — see [strip]) BEFORE publishing the
-           fingerprint: a racer that loses the fingerprint CAS and lands
-           in the found path must never read zeros as "everything
-           explored", and a blind store here instead of a CAS would let
-           a stalled racer resurrect bits already granted. The winner
-           then claims its cover through the same fetch_and everyone
-           else uses, so racing same-fingerprint visitors partition the
-           cover instead of double-exploring it. *)
-        ignore (a_cas t.data (ci + 1) 0 (-1));
-        if a_cas t.data ci 0 fp then begin
-          bump t fp o_entries 1;
-          let old = a_fetch_and t.data (ci + 1) (lnot cover) in
-          let fresh = old land cover in
-          if fresh = cover then New
-          else if fresh = 0 then Covered  (* racers claimed it all *)
-          else Partial fresh
-        end
-        else probe i attempt  (* lost the claim: re-read this slot *)
-      end
-      else probe (i + 1) attempt  (* mismatch or tombstone: move on *)
-    end
-  and overflow attempt =
-    match t.kind with
-    | K_exact | K_bits _ ->
-        (* exact mode never evicts: leave the state unstored (counted)
-           and let the caller explore its full cover *)
-        bump t fp o_drops 1;
-        Partial cover
-    | K_bounded ->
-        if attempt >= 8 then begin
-          bump t fp o_drops 1;
-          Partial cover
-        end
-        else begin
-          (* Two-phase eviction of the window's home slot, inside the
-             shard seqlock: (1) CAS the fingerprint word to a tombstone
-             — from here no new visitor can match the victim, and the
-             CAS grants this evictor exclusive ownership of the slot
-             against other evictors; (2) rebuild the remaining word from
-             scratch with our own cover already claimed; (3) publish the
-             new fingerprint. Publishing BEFORE the rebuild (or skipping
-             the tombstone) would let a victim visitor's in-flight claim
-             survive into the new state's mask, pruning moves nobody
-             explored. Victim visitors racing any of this are caught by
-             their recheck/seqlock and self-serve. *)
-          let ci = 2 * (base + home) in
-          ignore (a_fetch_add t.evseq (ev_start shard) 1);
-          let victim = a_get t.data ci in
-          let claimed =
-            victim <> fp && victim <> tombstone && victim <> 0
-            && a_cas t.data ci victim tombstone
-          in
-          if claimed then begin
-            a_set t.data (ci + 1) (lnot cover);
-            a_fence ();
-            a_set t.data ci fp;
-            bump t fp o_evictions 1
-          end;
-          ignore (a_fetch_add t.evseq (ev_finish shard) 1);
-          if claimed then New
-          else probe 0 (attempt + 1)
-            (* the slot is busy (our fp arriving via a racer, a foreign
-               tombstone, or a lost CAS): re-run the probe *)
-        end
-  in
-  probe 0 0
 
 let visit t ~fp ~cover =
-  let fp = canonical fp in
-  match t.kind with
-  | K_bits { words; hashes } -> visit_bits t ~words ~hashes fp
-  | K_exact | K_bounded -> visit_slots t fp cover
+  let fp = fp land max_int in
+  if t.nbits = 0 then visit_exact t fp (cover land max_int)
+  else visit_bits t fp
 
 (* --- statistics -------------------------------------------------------- *)
 
-(* Occupancy only ever changes on an empty→claimed transition (evictions
-   swap the occupant without freeing the slot), so one counter serves
-   every mode. *)
+let total t off =
+  let s = ref 0 in
+  for i = 0 to n_shards - 1 do
+    s := !s + a_get t.lines (line i + off)
+  done;
+  !s
+
 let entries t = total t o_entries
 
-let evictions t = total t o_evictions
-let drops t = total t o_drops
-
 let omission_prob t =
-  match t.kind with
-  | K_exact | K_bounded -> 0.0
-  | K_bits { words; hashes } ->
-      let m = float_of_int (32 * words) in
-      let ones = float_of_int (total t o_ones) in
-      (ones /. m) ** float_of_int hashes
+  if t.nbits = 0 then 0.0
+  else
+    let ones = float_of_int (total t o_ones) in
+    (ones /. float_of_int t.nbits) ** float_of_int t.hashes
 
-let masks t =
-  match t.kind with K_exact | K_bounded -> true | K_bits _ -> false
-
-let capacity t =
-  match t.kind with
-  | K_exact | K_bounded -> t.slots
-  | K_bits { words; _ } -> 32 * words
-
-let mode_name t =
-  match t.kind with
-  | K_exact -> Printf.sprintf "exact(%d slots)" t.slots
-  | K_bounded -> Printf.sprintf "bounded(%d slots)" t.slots
-  | K_bits { words; hashes } ->
-      Printf.sprintf "bitstate(%d bits, k=%d)" (32 * words) hashes
+let capacity t = if t.nbits > 0 then t.nbits else total t o_slots

@@ -1,134 +1,73 @@
-(** Shared lock-free fingerprint store for parallel exploration.
+(** The explorer's seen-state store, at every domain count.
 
-    One store is shared by every exploration domain. It answers a single
-    question on the hot path — "has this state been explored, and if only
-    partially, which moves are still owed?" — with the same mask-aware
-    semantics as the sequential seen table in {!Explore}, but safe (and
-    cheap) under concurrent visitors.
+    It answers a single question on the hot path — "has this state been
+    explored, and if only partially, which moves are still owed?" — and
+    is safe under any number of concurrent visitors.
 
-    {2 Layout}
+    {2 Exact mode: lock-striped growable shards}
 
-    The store is a flat [Bigarray] of untagged native ints, accessed
-    through C stubs wrapping [__atomic] builtins (fpstore_stubs.c). In
-    the exact and bounded modes each slot is a pair of words:
-
-    - the {b fingerprint word}: 0 = empty, otherwise the packed 63-bit
-      Zobrist fingerprint (a real fingerprint of 0 is remapped to a fixed
-      nonzero constant);
-    - the {b remaining word}: the set of move codes {e not yet explored}
-      from that state, initialized to all-ones.
-
-    Slots are fingerprint-partitioned into shards (high fingerprint bits
-    select the shard; probing is linear within the shard), which keeps a
-    probe sequence inside one small cache region and spreads unrelated
-    fingerprints across regions. Statistics counters are striped across
-    cache lines for the same reason.
-
-    {2 Protocol}
+    States are partitioned by fingerprint hash into 16 shards. Each shard
+    is an open-addressing table (linear probing) mapping a fingerprint to
+    its {b remaining word} — the move codes not yet granted to any
+    visitor — stored in the slot next to it. A shard doubles once its
+    load passes 1/2: the inserter that crossed it allocates the larger
+    table outside the lock and fills it under the lock (racing inserts
+    can push the load to 3/4, where the shard grows under the lock
+    instead). Each shard has its own spin
+    lock; the lock words and the per-shard counts sit one per 64-byte
+    line of a small [Bigarray], accessed through C stubs wrapping
+    [__atomic] builtins (fpstore_stubs.c).
 
     A visitor arrives with its [cover] — the move set it is prepared to
     explore ([lnot sleep land full] under POR, all moves otherwise;
-    covers are masked to their 63-bit nonnegative magnitude, the word's
-    sign bit being reserved as an initialized marker):
+    covers are masked to their 62-bit nonnegative magnitude). Under the
+    shard lock it either inserts the state (remaining = everything
+    outside [cover]) or reads the remaining word, is granted its
+    intersection with [cover], and clears those bits. Visits of one
+    state are totally ordered by the lock and the remaining word only
+    shrinks, so every move bit is granted to exactly one visitor: the
+    explored node count does not depend on domain timing, and nothing
+    is ever evicted, dropped or re-explored. The table grows without a
+    cap; it can only fail by running out of memory. See DESIGN.md §5f.
 
-    - {b empty slot}: CAS the remaining word from its pristine 0 to
-      all-ones (a one-shot initialization — fully-claimed words keep the
-      sign bit, so 0 never recurs and no racer can resurrect granted
-      bits), then CAS the fingerprint word from 0. The winner owns the
-      state and claims its cover through the same fetch_and as everyone
-      else, so racing same-fingerprint visitors partition the cover
-      ([New]/[Partial]/[Covered]) rather than double-explore it.
-    - {b found}: [fetch_and remaining (lnot cover)] atomically claims the
-      intersection. If the returned prior value shares no bits with
-      [cover] the state is fully covered ([Covered]); otherwise the
-      visitor owes exactly the [Partial] fresh bits it claimed.
+    {2 Bitstate mode}
 
-    In exact mode masks only ever shrink, so every move bit is granted
-    to exactly one visitor — which is what makes the explored node count
-    independent of domain timing under trivial masks. Bounded mode adds
-    eviction, whose races fall to the sound side: a visitor that may
-    have straddled a slot recycle restores all-ones ({e resurrecting}
-    remaining bits — re-exploration, never a missed interleaving) and
-    explores its full cover itself. See DESIGN.md §5f for the full
-    argument.
-
-    {2 Modes}
-
-    - [Store_exact]: sized from the node budget; on (rare, counted)
-      shard-window overflow a state is simply left unstored and explored.
-    - [Store_bounded]: fixed 2^log2_slots capacity; overflow evicts the
-      home slot of the probe window (re-exploration, counted). Eviction
-      recycles slots, so the found path is additionally guarded by a
-      tombstoned two-phase swap and a per-shard eviction seqlock: a
-      visitor whose claim may have straddled an eviction resurrects the
-      remaining word and explores its own cover itself.
-    - [Store_bitstate]: SPIN-style supertrace — k hash bits per state in
-      a fixed bit array; {!masks} is [false], a revisit always prunes,
-      and the FIRST visit decides coverage forever, so the caller must
-      explore the full move set when told [New] (ignore any sleep mask;
-      {!Explore} does exactly that). Distinct states may alias;
-      {!omission_prob} reports the fill-dependent false-positive
-      estimate [(ones/m)^k]. *)
+    [Store_bitstate]: SPIN-style supertrace — k hash bits per state in a
+    fixed lock-free bit array of [2^log2_bits] bits, all 64 bits of each
+    word used. There are no masks: a revisit always prunes and the
+    FIRST visit is granted the full move set whatever its [cover], so
+    the caller must explore every move of a new state (ignore any sleep
+    mask; {!Explore} does exactly that). Distinct states may alias;
+    {!omission_prob} reports the fill-dependent false-positive estimate
+    [(ones/m)^k]. *)
 
 type t
 
-(** Verdict for one visited state. [Partial fresh] means: re-explore
-    exactly the moves in [fresh] (a subset of the visit's cover); the
-    caller's child sleep mask is [lnot fresh land full]. *)
-type visit = New | Covered | Partial of int
-
 val create : mode:Tsim.Config.store_mode -> expected:int -> t
-(** [create ~mode ~expected] allocates a store. [expected] (the node
-    budget) sizes the exact mode: the slot count is the next power of two
-    above 1.4 × [expected], clamped to [2^12, 2^23] slots (128 MiB).
-    Beyond the cap the exact mode degrades gracefully but measurably —
-    overflowing states are left unstored and re-explored on every visit
-    (counted in {!drops}, surfaced in the verdict line) — which diverges
-    from the uncapped sequential [Hashtbl] path at [domains = 1] with
-    [Store_exact]; prefer [Store_bounded] for spaces past ~8M states.
-    Bitstate and bounded modes take their fixed size from the mode
-    itself. *)
+(** [create ~mode ~expected] allocates a store. In exact mode [expected]
+    is a presize hint — the number of states the caller expects to
+    store — and the table grows past it as needed ([0] starts at 256
+    slots). Bitstate mode takes its fixed size from the mode. *)
 
-val visit : t -> fp:int -> cover:int -> visit
-(** Visit a state. Safe to call from any number of domains
-    concurrently. [cover] is the move set this visitor will explore when
-    told [New] or granted a [Partial] superset; use [-1] (all moves)
-    when sleep-set masking is off. *)
+val visit : t -> fp:int -> cover:int -> int
+(** Visit a state; safe to call from any number of domains concurrently.
+    Returns the moves granted to this visitor: [0] means the state is
+    covered (prune it); otherwise the visitor owes exactly the moves in
+    [g land max_int], and its child sleep mask is [lnot g land full].
+    The result is negative iff this visit inserted the state — which
+    matters only when [cover] is [0], where a new state must still be
+    expanded. Pass [max_int] (or [-1]) as [cover] when sleep-set masking
+    is off. *)
 
 val entries : t -> int
-(** Distinct states currently claimed (bitstate: states that set at
-    least one new bit). Approximate only while visitors are concurrently
-    inserting; exact once they have joined. *)
-
-val evictions : t -> int
-(** Bounded mode: states evicted to make room (each may cost one
-    re-exploration of its subtree). 0 in other modes. *)
-
-val drops : t -> int
-(** States left unstored: an exact-mode shard whose probe window filled
-    up, or a bounded-mode eviction abandoned after repeated CAS races.
-    Each visit of such a state re-explores it. Always 0 in bitstate
-    mode. *)
+(** Distinct states stored (bitstate: states that set at least one new
+    bit). Exact once every visitor has joined. *)
 
 val omission_prob : t -> float
 (** Bitstate mode: the probability that the {e next} distinct state
     aliases an already-set bit pattern and is wrongly pruned —
-    [(ones/m)^k] at the current fill. 0.0 in exact and bounded modes
-    (which never alias beyond the 63-bit fingerprint itself). The
-    estimate accounts for {e all} bitstate omissions only if callers
-    honor the full-cover-on-[New] contract (see {!masks}). *)
-
-val masks : t -> bool
-(** Whether the store tracks a per-state remaining-moves mask ([true]
-    for exact and bounded modes). When [false] (bitstate), [cover] is
-    ignored, [Partial] is never returned, and a caller doing sleep-set
-    POR must explore the {e full} move set on [New]: the single seen-bit
-    cannot record that some moves were slept, so a first visit under a
-    nonempty sleep mask would otherwise prune interleavings that no
-    omission estimate accounts for. *)
+    [(ones/m)^k] at the current fill. 0.0 in exact mode (which never
+    aliases beyond the 63-bit fingerprint itself). *)
 
 val capacity : t -> int
-(** Slots (exact/bounded) or usable bits (bitstate). *)
-
-val mode_name : t -> string
-(** Human-readable mode + size, for logs and stats dumps. *)
+(** Slots across all shards (exact) or bits (bitstate). *)

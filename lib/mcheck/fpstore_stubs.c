@@ -2,19 +2,19 @@
  *
  * OCaml 5.1's stdlib has no atomic arrays: an [int Atomic.t array] boxes
  * one mutable record per cell, which is hopeless for a multi-megaword
- * fingerprint store. Instead the store is a flat Bigarray of kind [int]
- * (one untagged intnat per cell, malloc'd outside the OCaml heap, so the
- * data pointer is stable and addressable from every domain), and these
- * stubs provide the atomic accesses via the GCC/Clang __atomic builtins.
+ * bit array. Instead the store keeps its shared words in flat Bigarrays
+ * of kind [int] (one untagged intnat per cell, malloc'd outside the OCaml
+ * heap, so the data pointer is stable and addressable from every domain),
+ * and these stubs provide the atomic accesses via the GCC/Clang __atomic
+ * builtins: the exact store's per-shard lock words and counters, and the
+ * bitstate store's bit array.
  *
  * All entry points are [@@noalloc]: they allocate nothing and never
  * release the runtime lock, so they cost a C call and the atomic op.
  *
  * Values cross the boundary through Long_val/Val_long: a 63-bit OCaml
  * int sign-extends into the intnat cell and truncates back losslessly,
- * so an all-ones OCaml int (-1) round-trips as all-ones — which is what
- * the "remaining moves" protocol in fpstore.ml relies on for its
- * fetch-and masking.
+ * so the lock words and counters in fpstore.ml round-trip exactly.
  */
 
 #include <caml/mlvalues.h>
@@ -44,31 +44,19 @@ CAMLprim value pa_fps_cas(value ba, value i, value expected, value desired)
       __ATOMIC_ACQUIRE));
 }
 
-CAMLprim value pa_fps_fetch_and(value ba, value i, value v)
-{
-  return Val_long(__atomic_fetch_and(cell(ba, i), Long_val(v),
-                                     __ATOMIC_ACQ_REL));
-}
-
-CAMLprim value pa_fps_fetch_or(value ba, value i, value v)
-{
-  return Val_long(__atomic_fetch_or(cell(ba, i), Long_val(v),
-                                    __ATOMIC_ACQ_REL));
-}
-
 CAMLprim value pa_fps_fetch_add(value ba, value i, value v)
 {
   return Val_long(__atomic_fetch_add(cell(ba, i), Long_val(v),
                                      __ATOMIC_ACQ_REL));
 }
 
-/* Sequentially-consistent fence. The bounded store's eviction seqlock
- * needs a store-load ordering point (the visitor's mask RMW must be
- * globally ordered before its validation re-reads of the fingerprint
- * word and the shard eviction counter), which acq_rel on two different
- * locations does not by itself provide on weakly-ordered hardware. */
-CAMLprim value pa_fps_fence(value unit)
+/* Bitstate: atomically set bit [b land 63] of word [b lsr 6] and report
+ * whether it was already set. Every bit of the 64-bit word is usable —
+ * OCaml 5 targets only 64-bit platforms, so intnat is 64 bits wide. */
+CAMLprim value pa_fps_test_and_set_bit(value ba, value b)
 {
-  __atomic_thread_fence(__ATOMIC_SEQ_CST);
-  return Val_unit;
+  uintnat i = Long_val(b);
+  uintnat bit = (uintnat) 1 << (i & 63);
+  uintnat *w = (uintnat *) Caml_ba_data_val(ba) + (i >> 6);
+  return Val_bool(__atomic_fetch_or(w, bit, __ATOMIC_ACQ_REL) & bit);
 }

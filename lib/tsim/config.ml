@@ -80,35 +80,23 @@ let default_engine () : engine =
 
 (* How the explorer remembers visited states:
 
-   - [Store_exact]: every distinct fingerprint is kept (a hash table at
-     one domain, the shared lock-free store in parallel mode). Exact
-     dedup; memory grows with the reachable space. The default. The
-     shared store caps at 2^23 slots: past ~8M states parallel exact
-     mode drops (counts, confesses in the verdict) overflowing states
-     and re-explores them, where the sequential hash table just grows —
-     prefer [Store_bounded] for spaces that big.
+   - [Store_exact]: every distinct fingerprint is kept, in one growable
+     lock-striped table shared by every domain (Mcheck.Fpstore). Exact
+     dedup; memory grows with the reachable space. The default.
    - [Store_bitstate]: SPIN-style bitstate/supertrace hashing — [hashes]
      hash functions into a bit array of 2^[log2_bits] bits. Memory is
      fixed; distinct states may alias (the search then under-approximates
      coverage), and the explorer reports a measured omission-probability
      estimate in its stats. Sleep-set pruning is suspended at admitted
-     states under this mode, so aliasing is the only omission source.
-   - [Store_bounded]: exact fingerprints in a fixed table of
-     2^[log2_slots] slots with eviction on collision-window overflow.
-     Memory is fixed and the search stays exhaustive: an evicted state
-     reached again is simply re-explored (the cost is time, counted as
-     [store_evictions], never soundness). *)
+     states under this mode, so aliasing is the only omission source. *)
 type store_mode =
   | Store_exact
   | Store_bitstate of { log2_bits : int; hashes : int }
-  | Store_bounded of { log2_slots : int }
 
 let store_mode_name = function
   | Store_exact -> "exact"
   | Store_bitstate { log2_bits; hashes } ->
       Printf.sprintf "bitstate(2^%d bits, k=%d)" log2_bits hashes
-  | Store_bounded { log2_slots } ->
-      Printf.sprintf "bounded(2^%d slots)" log2_slots
 
 type t = {
   n : int;  (* number of processes *)
@@ -169,10 +157,7 @@ let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
       if log2_bits < 10 || log2_bits > 36 then
         invalid_arg "Config.make: bitstate log2_bits must be in [10, 36]";
       if hashes < 1 || hashes > 8 then
-        invalid_arg "Config.make: bitstate hashes must be in [1, 8]"
-  | Store_bounded { log2_slots } ->
-      if log2_slots < 8 || log2_slots > 30 then
-        invalid_arg "Config.make: bounded log2_slots must be in [8, 30]");
+        invalid_arg "Config.make: bitstate hashes must be in [1, 8]");
   { n; model; ordering; layout; entry; exit_section; max_passages;
     rmw_drains; check_exclusion; record_trace; crash_semantics; recovery;
     abort_section; engine; pure_programs; store }

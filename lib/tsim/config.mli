@@ -52,7 +52,8 @@ val default_engine : unit -> engine
 (** Exploration seen-state memory policy:
 
     - [Store_exact]: every distinct fingerprint is remembered (the
-      default). Exact dedup; memory grows with the reachable space.
+      default), in one growable table shared by every domain. Exact
+      dedup; memory grows with the reachable space.
     - [Store_bitstate { log2_bits; hashes }]: SPIN-style
       bitstate/supertrace hashing — [hashes] hash functions into a bit
       array of [2^log2_bits] bits. Fixed memory; distinct states may
@@ -61,15 +62,10 @@ val default_engine : unit -> engine
       ({!Mcheck.Explore.stats.omission_prob} in lib/mcheck). The
       explorer suspends sleep-set pruning at each newly-admitted state
       under this mode (a one-bit store cannot remember slept moves), so
-      aliasing is the only omission source the estimate must cover.
-    - [Store_bounded { log2_slots }]: exact fingerprints in a fixed
-      table of [2^log2_slots] slots with eviction under collision
-      pressure. Fixed memory, still exhaustive — evicted states reached
-      again are re-explored (time, never soundness). *)
+      aliasing is the only omission source the estimate must cover. *)
 type store_mode =
   | Store_exact
   | Store_bitstate of { log2_bits : int; hashes : int }
-  | Store_bounded of { log2_slots : int }
 
 val store_mode_name : store_mode -> string
 

@@ -2,17 +2,17 @@
    (Deque) — the two lock-free structures under the parallel explorer.
 
    Sequential tests pin the visit protocol (claim, mask-aware cover
-   accounting, the fp=0 remap); concurrent tests hammer the structures
-   from real domains and assert the invariants the explorer's soundness
-   rests on: per-fingerprint granted covers union to the requested
-   covers (no interleaving is ever lost — grants may overlap, that is
-   re-exploration, which is sound), occupancy counts distinct
-   fingerprints, and the deque neither duplicates nor loses items.
+   accounting, fp=0); concurrent tests hammer the structures from real
+   domains and assert the invariants the explorer's soundness rests on:
+   per-fingerprint grants are disjoint and union to the requested covers
+   (no interleaving is lost, none explored twice), occupancy counts
+   distinct fingerprints while the store grows, and the deque neither
+   duplicates nor loses items.
 
-   The memory-bounded modes are then exercised end to end: a bitstate
-   search over a space larger than its bit array must still verify and
-   must confess a nonzero omission probability; a bounded store smaller
-   than the space must evict, re-explore, and reach the exact verdict. *)
+   Bitstate is then exercised end to end: a search over a space larger
+   than its bit array must still verify and must confess a nonzero
+   omission probability, and the array must cost no more memory than
+   its nominal size. *)
 
 open Tsim
 open Tsim.Prog
@@ -23,56 +23,53 @@ module D = Mcheck.Deque
 
 let exact () = F.create ~mode:Config.Store_exact ~expected:10_000
 
+(* [visit] returns the granted moves: 0 = covered, negative = this visit
+   inserted the state (granted bits in the low 62) *)
+let granted g = g land max_int
+
 let test_exact_claim () =
   let s = exact () in
-  (match F.visit s ~fp:42 ~cover:(-1) with
-  | F.New -> ()
-  | _ -> Alcotest.fail "first visit must be New");
-  (match F.visit s ~fp:42 ~cover:(-1) with
-  | F.Covered -> ()
-  | _ -> Alcotest.fail "revisit with same cover must be Covered");
-  Alcotest.(check int) "one entry" 1 (F.entries s);
-  Alcotest.(check int) "no drops" 0 (F.drops s);
-  Alcotest.(check int) "no evictions" 0 (F.evictions s)
+  Alcotest.(check bool) "first visit inserts" true
+    (F.visit s ~fp:42 ~cover:(-1) < 0);
+  Alcotest.(check int) "revisit with same cover is covered" 0
+    (F.visit s ~fp:42 ~cover:(-1));
+  Alcotest.(check int) "one entry" 1 (F.entries s)
 
 let test_exact_mask_widening () =
   let s = exact () in
   (* claim under a narrow cover: only moves {0,1} will be explored *)
-  (match F.visit s ~fp:7 ~cover:0b0011 with
-  | F.New -> ()
-  | _ -> Alcotest.fail "first visit must be New");
+  let g = F.visit s ~fp:7 ~cover:0b0011 in
+  Alcotest.(check bool) "first visit inserts" true (g < 0);
+  Alcotest.(check int) "granted its cover" 0b0011 (granted g);
   (* same cover again: fully covered *)
-  (match F.visit s ~fp:7 ~cover:0b0011 with
-  | F.Covered -> ()
-  | _ -> Alcotest.fail "subset revisit must be Covered");
+  Alcotest.(check int) "subset revisit is covered" 0
+    (F.visit s ~fp:7 ~cover:0b0011);
   (* widened cover: owed exactly the new bits *)
-  (match F.visit s ~fp:7 ~cover:0b0111 with
-  | F.Partial fresh -> Alcotest.(check int) "fresh bits" 0b0100 fresh
-  | _ -> Alcotest.fail "widened revisit must be Partial");
+  Alcotest.(check int) "widened revisit grants the fresh bits" 0b0100
+    (F.visit s ~fp:7 ~cover:0b0111);
   (* and now that too is covered *)
-  (match F.visit s ~fp:7 ~cover:0b0111 with
-  | F.Covered -> ()
-  | _ -> Alcotest.fail "re-revisit must be Covered");
-  Alcotest.(check int) "still one entry" 1 (F.entries s)
+  Alcotest.(check int) "re-revisit is covered" 0
+    (F.visit s ~fp:7 ~cover:0b0111);
+  (* an empty cover still inserts a new state, and grants nothing *)
+  Alcotest.(check int) "empty cover on a new state" min_int
+    (F.visit s ~fp:8 ~cover:0);
+  Alcotest.(check int) "two entries" 2 (F.entries s)
 
 let test_exact_zero_fp () =
   (* a genuine fingerprint of 0 must behave like any other value, not
      alias the empty-slot sentinel *)
   let s = exact () in
-  (match F.visit s ~fp:0 ~cover:(-1) with
-  | F.New -> ()
-  | _ -> Alcotest.fail "fp=0 first visit must be New");
-  (match F.visit s ~fp:0 ~cover:(-1) with
-  | F.Covered -> ()
-  | _ -> Alcotest.fail "fp=0 revisit must be Covered");
+  Alcotest.(check bool) "fp=0 first visit inserts" true
+    (F.visit s ~fp:0 ~cover:(-1) < 0);
+  Alcotest.(check int) "fp=0 revisit is covered" 0
+    (F.visit s ~fp:0 ~cover:(-1));
   Alcotest.(check int) "fp=0 occupies one slot" 1 (F.entries s)
 
 let test_exact_distinct_fps () =
   let s = exact () in
   for i = 1 to 1000 do
-    match F.visit s ~fp:(i * 0x1E3779B97F4A7C15) ~cover:(-1) with
-    | F.New -> ()
-    | _ -> Alcotest.fail "distinct fps must all be New"
+    if F.visit s ~fp:(i * 0x1E3779B97F4A7C15) ~cover:(-1) >= 0 then
+      Alcotest.fail "distinct fps must all insert"
   done;
   Alcotest.(check int) "1000 entries" 1000 (F.entries s);
   Alcotest.(check (float 0.0)) "exact mode never omits" 0.0
@@ -82,32 +79,40 @@ let test_exact_distinct_fps () =
 
    4 domains visit a shared pool of fingerprints, each visit carrying a
    per-visitor cover. Afterwards, for every fingerprint the union of
-   granted move sets (New grants the full cover; Partial grants the
-   fresh bits) must equal the union of all requested covers: every move
-   some visitor offered to explore was handed to someone. Overlapping
-   grants are legal (races resurrect bits — re-exploration), lost bits
-   are not. *)
+   granted move sets must equal the union of all requested covers (every
+   move some visitor offered to explore was handed to someone), and the
+   grants must be disjoint — the popcounts of all grants sum to the
+   popcount of their union — because the shard lock hands out each move
+   bit exactly once. The second input starts from the smallest store
+   ([~expected:0]) so every shard doubles many times while the domains
+   race on it. *)
 
-let test_concurrent_no_lost_cover () =
-  let n_domains = 4 and n_fps = 512 and rounds = 50 in
-  let s = F.create ~mode:Config.Store_exact ~expected:(4 * n_fps) in
+let popcount x =
+  let rec go n x = if x = 0 then n else go (n + 1) (x land (x - 1)) in
+  go 0 x
+
+let hammer ~expected ~n_fps ~rounds () =
+  let n_domains = 4 in
+  let s = F.create ~mode:Config.Store_exact ~expected in
   let fp_of i = ((i + 1) * 0x2545F4914F6CDD1D) land max_int in
   (* per-domain grant log: grants.(d).(i) accumulates the move bits domain
-     d was told to explore for fingerprint i *)
+     d was told to explore for fingerprint i; bits.(d) counts them with
+     multiplicity *)
   let grants = Array.init n_domains (fun _ -> Array.make n_fps 0) in
+  let bits = Array.make n_domains 0 in
   let covers = Array.init n_domains (fun d -> 1 lsl (d * 2 mod 6)) in
   let worker d () =
-    let mine = grants.(d) in
+    let mine = grants.(d) and n = ref 0 in
     for _ = 1 to rounds do
       for i = 0 to n_fps - 1 do
         (* each domain offers its own cover bit plus a shared bit *)
         let cover = covers.(d) lor 0b1000000 in
-        match F.visit s ~fp:(fp_of i) ~cover with
-        | F.New -> mine.(i) <- mine.(i) lor cover
-        | F.Partial fresh -> mine.(i) <- mine.(i) lor fresh
-        | F.Covered -> ()
+        let g = granted (F.visit s ~fp:(fp_of i) ~cover) in
+        mine.(i) <- mine.(i) lor g;
+        n := !n + popcount g
       done
-    done
+    done;
+    bits.(d) <- !n
   in
   let ds = Array.init n_domains (fun d -> Domain.spawn (worker d)) in
   Array.iter Domain.join ds;
@@ -122,87 +127,14 @@ let test_concurrent_no_lost_cover () =
       Alcotest.failf "fp %d: granted cover %x <> requested union %x" i got
         want
   done;
-  Alcotest.(check int) "entries = distinct fingerprints" n_fps (F.entries s);
-  Alcotest.(check int) "no drops at this load" 0 (F.drops s)
+  Alcotest.(check int) "each move bit granted exactly once"
+    (n_fps * popcount want)
+    (Array.fold_left ( + ) 0 bits);
+  Alcotest.(check int) "entries = distinct fingerprints" n_fps (F.entries s)
 
-(* A bounded store under deterministic (sequential) eviction pressure:
-   256 slots = 4 shards of 64; fingerprints below 2^60 all land in shard
-   0, so 64 of them fill it exactly and the 65th must evict. The victim
-   is gone — re-visiting the original 64 re-inserts every missing one
-   (each a counted eviction, answered New = re-explore), and never
-   invents coverage: every answer is New or Covered, no drops. *)
-let test_bounded_evict_sequential () =
-  let s = F.create ~mode:(Config.Store_bounded { log2_slots = 8 }) ~expected:0 in
-  for i = 1 to 64 do
-    match F.visit s ~fp:i ~cover:(-1) with
-    | F.New -> ()
-    | _ -> Alcotest.failf "fp %d: first visit must be New" i
-  done;
-  Alcotest.(check int) "shard full, no evictions yet" 0 (F.evictions s);
-  (match F.visit s ~fp:65 ~cover:(-1) with
-  | F.New -> ()
-  | _ -> Alcotest.fail "overflowing insert must still be New");
-  Alcotest.(check int) "one eviction" 1 (F.evictions s);
-  Alcotest.(check int) "occupancy unchanged by eviction" 64 (F.entries s);
-  (match F.visit s ~fp:65 ~cover:(-1) with
-  | F.Covered -> ()
-  | _ -> Alcotest.fail "evicting insert must be remembered");
-  let news = ref 0 in
-  for i = 1 to 64 do
-    match F.visit s ~fp:i ~cover:(-1) with
-    | F.New -> incr news
-    | F.Covered -> ()
-    | F.Partial _ -> Alcotest.failf "fp %d: unexpected Partial" i
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "at least the victim re-explored (%d)" !news)
-    true (!news >= 1);
-  (* sequentially every re-insert evicts in one attempt: evictions track
-     the re-explorations exactly *)
-  Alcotest.(check int) "evictions = 1 + re-inserts" (1 + !news)
-    (F.evictions s);
-  Alcotest.(check int) "nothing dropped" 0 (F.drops s)
-
-(* The no-lost-cover hammer against a store 8x smaller than the
-   fingerprint set: eviction churn on every probe window, from 4 domains
-   at once. This is the regression test for the eviction race the review
-   caught — a single-CAS eviction let bits claimed for the victim leak
-   into the new occupant's remaining word, i.e. moves counted as granted
-   that nobody was ever handed; the union check below fails in that
-   world. With the two-phase tombstone + shard seqlock, grants may
-   duplicate (re-exploration) but must still union to every requested
-   cover. *)
-let test_concurrent_bounded_no_lost_cover () =
-  let n_domains = 4 and n_fps = 2048 and rounds = 50 in
-  let s = F.create ~mode:(Config.Store_bounded { log2_slots = 8 }) ~expected:0 in
-  let fp_of i = ((i + 1) * 0x2545F4914F6CDD1D) land max_int in
-  let grants = Array.init n_domains (fun _ -> Array.make n_fps 0) in
-  let covers = Array.init n_domains (fun d -> 1 lsl (d * 2 mod 6)) in
-  let worker d () =
-    let mine = grants.(d) in
-    for _ = 1 to rounds do
-      for i = 0 to n_fps - 1 do
-        let cover = covers.(d) lor 0b1000000 in
-        match F.visit s ~fp:(fp_of i) ~cover with
-        | F.New -> mine.(i) <- mine.(i) lor cover
-        | F.Partial fresh -> mine.(i) <- mine.(i) lor fresh
-        | F.Covered -> ()
-      done
-    done
-  in
-  let ds = Array.init n_domains (fun d -> Domain.spawn (worker d)) in
-  Array.iter Domain.join ds;
-  let want = Array.fold_left (fun acc c -> acc lor c) 0b1000000 covers in
-  for i = 0 to n_fps - 1 do
-    let got = Array.fold_left (fun acc g -> acc lor g.(i)) 0 grants in
-    if got <> want then
-      Alcotest.failf "fp %d: granted cover %x <> requested union %x under \
-                      eviction churn" i got want
-  done;
-  let ev = F.evictions s in
-  Alcotest.(check bool)
-    (Printf.sprintf "eviction churn really happened (%d)" ev)
-    true (ev > 0)
+let test_concurrent_no_lost_cover () =
+  hammer ~expected:(4 * 512) ~n_fps:512 ~rounds:50 ();
+  hammer ~expected:0 ~n_fps:65_536 ~rounds:4 ()
 
 (* --- deque ------------------------------------------------------------- *)
 
@@ -345,30 +277,38 @@ let test_bitstate_exceeds_bound () =
   Alcotest.(check bool) "fewer nodes than the exact space" true
     (r.Mcheck.Explore.nodes < 3022)
 
-(* A 256-slot bounded store against the 706-state single-passage space:
-   evictions must occur, re-exploration inflates the node count, and the
-   verdict must still match the exact engine's (bounded mode never trades
-   soundness, only time). *)
-let test_bounded_evicts_and_agrees () =
-  let exact_r =
-    Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false
-      (peterson ~passages:1 ())
-  in
-  let cfg =
-    with_store
-      (Config.Store_bounded { log2_slots = 8 })
-      (peterson ~passages:1 ())
-  in
-  let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false cfg in
-  Alcotest.(check bool) "verdicts agree" exact_r.Mcheck.Explore.verified
-    r.Mcheck.Explore.verified;
-  Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
-  let ev = r.Mcheck.Explore.stats.Mcheck.Explore.store_evictions in
-  Alcotest.(check bool)
-    (Printf.sprintf "evictions %d > 0" ev)
-    true (ev > 0);
-  Alcotest.(check bool) "re-exploration inflates nodes" true
-    (r.Mcheck.Explore.nodes >= exact_r.Mcheck.Explore.nodes)
+(* Bitstate uses all 64 bits of each word: a 2^28-bit array is 32 MiB,
+   so creating one must grow resident memory by well under 40 MiB (half
+   of each word idle would make it 64 MiB). Linux-only: reads VmRSS. *)
+let vm_rss_kib () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | l -> (
+            match Scanf.sscanf_opt l "VmRSS: %d kB" Fun.id with
+            | Some kib -> Some kib
+            | None -> scan ())
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
+let test_bitstate_memory () =
+  match vm_rss_kib () with
+  | None -> ()  (* no /proc: not Linux *)
+  | Some before ->
+      let s =
+        F.create ~mode:(Config.Store_bitstate { log2_bits = 28; hashes = 3 })
+          ~expected:0
+      in
+      let after = Option.get (vm_rss_kib ()) in
+      Alcotest.(check int) "2^28 bits" (1 lsl 28) (F.capacity s);
+      let grown_mib = (after - before) / 1024 in
+      Alcotest.(check bool)
+        (Printf.sprintf "VmRSS grew %d MiB (< 40)" grown_mib)
+        true (grown_mib < 40);
+      ignore (Sys.opaque_identity s)
 
 (* Bitstate under domains > 1: the same shared bit array serves all
    visitors; the search must still complete and confess. *)
@@ -466,11 +406,6 @@ let suite =
       test_exact_distinct_fps;
     Alcotest.test_case "concurrent: no cover bit lost across 4 domains"
       `Quick test_concurrent_no_lost_cover;
-    Alcotest.test_case "bounded: deterministic eviction accounting" `Quick
-      test_bounded_evict_sequential;
-    Alcotest.test_case
-      "concurrent: no cover bit lost under bounded eviction churn" `Quick
-      test_concurrent_bounded_no_lost_cover;
     Alcotest.test_case "deque: owner pops LIFO" `Quick test_deque_owner_lifo;
     Alcotest.test_case "deque: thief steals FIFO" `Quick
       test_deque_thief_fifo;
@@ -479,8 +414,8 @@ let suite =
       test_deque_concurrent;
     Alcotest.test_case "bitstate: verifies past the memory bound" `Quick
       test_bitstate_exceeds_bound;
-    Alcotest.test_case "bounded: evicts and agrees with exact" `Quick
-      test_bounded_evicts_and_agrees;
+    Alcotest.test_case "bitstate: 2^28 bits cost at most their size" `Quick
+      test_bitstate_memory;
     Alcotest.test_case "bitstate: parallel domains share the bit array"
       `Quick test_bitstate_parallel;
     Alcotest.test_case "bitstate: violations survive aliasing" `Quick

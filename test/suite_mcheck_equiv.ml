@@ -184,6 +184,34 @@ let test_parallel_deterministic () =
     b.Mcheck.Explore.verified;
   Alcotest.(check bool) "por on: same exhausted" a.Mcheck.Explore.exhausted
     b.Mcheck.Explore.exhausted
+  ;
+  (* without sleep masks the shared store grants each state to exactly
+     one visitor, so 4 domains expand exactly the sequential node set —
+     on a space far past the store's initial capacity, so every shard
+     grows while the domains race on it *)
+  let tournament () =
+    Locks.Harness.config_of_lock ~model:Config.Cc_wb
+      (Locks.Tournament.make ~n:3 ()) ~n:3
+  in
+  let seq =
+    Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false (tournament ())
+  in
+  let par =
+    Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false ~domains:4
+      (tournament ())
+  in
+  let initial =
+    Mcheck.Fpstore.capacity
+      (Mcheck.Fpstore.create ~mode:Config.Store_exact ~expected:0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "space %d > 10x initial store capacity %d"
+       seq.Mcheck.Explore.nodes initial)
+    true
+    (seq.Mcheck.Explore.nodes > 10 * initial);
+  Alcotest.(check bool) "exhausted" true par.Mcheck.Explore.exhausted;
+  Alcotest.(check int) "por off: d=4 nodes = d=1 nodes"
+    seq.Mcheck.Explore.nodes par.Mcheck.Explore.nodes
 
 (* Under a widened violation cap, every engine must surface the same SET
    of violation kinds — the cap no longer truncates the interesting part
