@@ -477,25 +477,8 @@ let verify_cmd =
           ~doc:
             "print search-internals tallies (dedup hits, sleep-set and \
              ample-set prunes, fingerprint-store occupancy, per-domain \
-             nodes, steals, store mode and bitstate omission probability, \
-             journal depth)")
-  in
-  let engine =
-    let engine_conv =
-      Arg.enum [ ("journal", `Journal); ("compiled", `Compiled) ]
-    in
-    Arg.(
-      value & opt engine_conv `Journal
-      & info [ "engine" ]
-          ~doc:
-            "step engine: journal (interpreted steps, the default) or \
-             compiled (compile-ahead program execution; locks whose \
-             programs are not declared pure fall back to the journal \
-             interpreter). Both expand children in place and agree on \
-             verdicts and node counts. Locks that are not declared pure \
-             keep per-passage scratch outside the machine that rollback \
-             does not restore, so their searches are not exact (a known \
-             defect, see DESIGN.md §5e)")
+             nodes, steals, step path (compiled or interpreted), store \
+             mode and bitstate omission probability, journal depth)")
   in
   let profile_out =
     Arg.(
@@ -530,7 +513,7 @@ let verify_cmd =
              probes are spent along a path)")
   in
   let run name n max_nodes spin_fuel domains no_por save_schedule max_crashes
-      max_aborts max_millis crash_semantics search_stats engine store
+      max_aborts max_millis crash_semantics search_stats store
       store_bits store_hashes profile_out progress probes obs_opts =
     if domains < 1 then die2 "--domains must be >= 1";
     if max_crashes < 0 then die2 "--max-crashes must be >= 0";
@@ -563,8 +546,10 @@ let verify_cmd =
           Locks.Harness.config_of_lock ~model:Tsim.Config.Cc_wb
             ~crash_semantics lock ~n
         in
+        (* searches run untraced: summaries and the step path below
+           describe the configuration the explorer actually steps *)
         let cfg =
-          { cfg with Tsim.Config.engine; Tsim.Config.store = store_mode }
+          { cfg with Tsim.Config.store = store_mode; record_trace = false }
         in
         (* ctrl-C stops the search at the next budget poll: the explorer
            returns normally with a typed `Aborts partial verdict, so the
@@ -616,6 +601,7 @@ let verify_cmd =
               chains %d (+%d fused), seen entries %d, crashes applied %d, \
               aborts applied %d\n\
               domains: %d%s, merge stall %dus, steals %d\n\
+              steps: %s\n\
               store: %s%s\n\
               journal: peak %d records, %d undo records (%.1f/node)\n"
              s.Mcheck.Explore.dedup_hits s.Mcheck.Explore.resleeps
@@ -629,6 +615,11 @@ let verify_cmd =
                  Printf.sprintf " (nodes %s)"
                    (String.concat "/" (List.map string_of_int ns)))
              s.Mcheck.Explore.merge_stall_us s.Mcheck.Explore.steals
+             (if Tsim.Config.compiled_steps cfg then "compiled"
+              else
+                "interpreted (programs not declared pure; rollback does \
+                 not restore their per-passage scratch, so this search \
+                 is not exact, a known defect: DESIGN.md §5e)")
              (Tsim.Config.store_mode_name store_mode)
              (if s.Mcheck.Explore.omission_prob > 0.0 then
                 Printf.sprintf ", omission probability %.2e"
@@ -706,7 +697,7 @@ let verify_cmd =
     Term.(
       const run $ lock_arg $ n $ max_nodes $ spin_fuel $ domains $ no_por
       $ save_schedule $ max_crashes $ max_aborts $ max_millis
-      $ crash_semantics $ search_stats $ engine $ store $ store_bits
+      $ crash_semantics $ search_stats $ store $ store_bits
       $ store_hashes $ profile_out $ progress $ probes $ obs_term)
 
 (* --- replay -------------------------------------------------------------- *)

@@ -28,7 +28,7 @@
 
    The slot drawn in the entry section travels to the exit and cleanup
    sections through a per-process scratch array, so the lock is impure:
-   the compile-ahead engine falls back to the interpreter for it. *)
+   its searches are interpreted, never compiled. *)
 
 open Tsim
 open Tsim.Ids

@@ -18,10 +18,11 @@ type t = {
   one_time : bool;  (* only supports a single passage per process *)
   adaptive : bool;  (* RMR complexity a function of contention? *)
   pure : bool;
-      (* programs are effect-free (no per-passage scratch arrays): the
-         compile-ahead engine may cache and reuse their continuations
-         (Config.pure_programs). Locks that smuggle a ticket/slot from
-         entry to exit through a mutable array must say false. *)
+      (* programs are effect-free (no per-passage scratch arrays):
+         searches may cache and reuse their continuations, stepping
+         compiled (Config.compiled_steps). Locks that smuggle a
+         ticket/slot from entry to exit through a mutable array must say
+         false; saying false of pure programs is always sound. *)
   layout : Layout.t;
   entry : Pid.t -> unit Prog.t;
   exit_section : Pid.t -> unit Prog.t;

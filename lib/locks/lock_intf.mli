@@ -18,9 +18,12 @@ type t = {
   adaptive : bool;  (** RMR complexity a function of contention? *)
   pure : bool;
       (** programs are effect-free (no per-passage scratch arrays), so
-          the compile-ahead engine may cache their continuations
-          ({!Tsim.Config.t.pure_programs}); locks that pass scratch from
-          entry to exit through mutable arrays must declare [false] *)
+          searches may cache their continuations and step compiled
+          ({!Tsim.Config.t.pure_programs}, {!Tsim.Config.compiled_steps}).
+          Declaring pure programs impure is always sound (they are then
+          interpreted); the reverse is not, so locks that pass scratch
+          from entry to exit through mutable arrays must declare
+          [false] *)
   layout : Layout.t;
   entry : Pid.t -> unit Prog.t;
   exit_section : Pid.t -> unit Prog.t;

@@ -348,12 +348,13 @@ val explore :
 
     Children are expanded by one path: each domain steps one machine in
     place and rolls back through {!Machine.Journal} after each subtree.
-    {!Config.t.engine} only chooses how a step executes — [`Journal]
-    (the default) interprets continuations, [`Compiled] runs
-    compile-ahead code for declared-pure programs; the two visit
-    identical state spaces (same verdicts, node counts and fingerprint
-    sets). Parallel hand-off — the BFS frontier and parked subtrees —
-    clones the machine, so handed-off machines are independent.
+    How a step executes follows {!Config.compiled_steps}: searches run
+    untraced, so declared-pure programs step compiled (compile-ahead
+    code, built once per search and shared by its clones) and all others
+    are interpreted; the two paths visit identical state spaces (same
+    verdicts, node counts and fingerprint sets). Parallel hand-off — the
+    BFS frontier and parked subtrees — clones the machine, so handed-off
+    machines are independent.
 
     [~paranoid_fp:true] cross-checks the incrementally-maintained
     fingerprint against a full recompute at every node

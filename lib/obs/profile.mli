@@ -9,7 +9,7 @@
       root class),
     - the {b section} the moving process was in (NCS, entry, exit, ...),
     - the {b program location} of the moving process: the compiled
-      engine's pc when available, otherwise a structural digest of the
+      path's pc when available, otherwise a structural digest of the
       interpreter continuation.
 
     and accumulates four counters: nodes, elapsed ticks, undo records

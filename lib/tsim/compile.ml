@@ -68,7 +68,7 @@ let hash_cont (c : unit Prog.t) = Hashtbl.hash_param 128 256 c
    then the regular entry section. Lives here — used both by the
    compiler (root interning) and by the machine's interpreter path — so
    the two build the *same* closure and fingerprints agree across
-   engines. Captures only immutable data: closing over the machine would
+   step paths. Captures only immutable data: closing over the machine would
    make the structural hash depend on mutable state. *)
 let recovery_cont (cfg : Config.t) pid =
   match cfg.Config.recovery with
@@ -79,7 +79,7 @@ let recovery_cont (cfg : Config.t) pid =
 
 (* The canonical continuation of an aborted process: its cleanup section,
    alone — reaching [Return ()] is the abort-done transition back to NCS.
-   Same engine-agreement contract as [recovery_cont]: both the compiler
+   Same path-agreement contract as [recovery_cont]: both the compiler
    and the machine's interpreter path must build the closure here.
    Calling it without an abort section is a programming error; the
    machine refuses to abort such processes. *)
@@ -353,45 +353,3 @@ let make ?(max_instrs = 65536) ?(max_fanout = 64) (cfg : Config.t) =
       root ~pid:p c.abort_pc p (fun () -> abort_cont cfg p)
   done;
   c
-
-(* --- compilation cache ------------------------------------------------ *)
-
-(* Machines are created in droves during exploration and benchmarking
-   ([Explore.explore] re-creates one per run from the same configuration,
-   and every [{cfg with ...}] copy shares the same program closures), so
-   cache compiled code keyed on the *program sources*: the physical
-   identity of the entry/exit/recovery functions plus the process count.
-   Spin fuel is part of the key — continuations embed the fuel they were
-   built with, so code compiled under the explorer's small fuel must not
-   leak into a full-fuel replay. Bounded: newest 16 entries. *)
-let memo : (Config.t * int * t) list ref = ref []
-let memo_lock = Mutex.create ()
-
-let same_src (a : Config.t) (b : Config.t) =
-  a.Config.entry == b.Config.entry
-  && a.Config.exit_section == b.Config.exit_section
-  && (match (a.Config.recovery, b.Config.recovery) with
-     | None, None -> true
-     | Some r, Some r' -> r == r'
-     | _ -> false)
-  && (match (a.Config.abort_section, b.Config.abort_section) with
-     | None, None -> true
-     | Some r, Some r' -> r == r'
-     | _ -> false)
-  && a.Config.n = b.Config.n
-
-let get cfg =
-  let fuel = !Prog.default_spin_fuel in
-  Mutex.lock memo_lock;
-  let hit =
-    List.find_opt (fun (src, f, _) -> f = fuel && same_src src cfg) !memo
-  in
-  Mutex.unlock memo_lock;
-  match hit with
-  | Some (_, _, t) -> t
-  | None ->
-      let t = make cfg in
-      Mutex.lock memo_lock;
-      memo := (cfg, fuel, t) :: List.filteri (fun i _ -> i < 15) !memo;
-      Mutex.unlock memo_lock;
-      t

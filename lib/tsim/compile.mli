@@ -1,4 +1,6 @@
-(** Compile-ahead execution of process programs (the [`Compiled] engine).
+(** Compile-ahead execution of process programs: the step path of every
+    machine over declared-pure programs that records no trace
+    ({!Config.compiled_steps}).
 
     Lowers the free-monad programs of a {!Config.t} into a flat
     instruction array by {e interning} continuations: an instruction is
@@ -9,10 +11,13 @@
     edges — no closure application, no structural hashing — and falls
     back to the interpreter per process ([pc = -1]) whenever an edge
     cannot be compiled, so compilation never makes a runnable program
-    fail and fingerprints stay bit-identical across engines.
+    fail and fingerprints stay bit-identical to the interpreter's.
 
-    Thread-safe: one compiled program is shared by every machine (and
-    every domain) exploring the same configuration. *)
+    Thread-safe: one compiled program is shared by a search's root
+    machine and all its clones, on every domain. There is no cache:
+    each {!Machine.create} compiles afresh (tens of microseconds for the
+    zoo locks at n <= 4), so code built under one spin fuel never reaches
+    a machine built under another. *)
 
 type error =
   | Program_too_large of { pid : Ids.Pid.t; limit : int }
@@ -38,13 +43,6 @@ val make : ?max_instrs:int -> ?max_fanout:int -> Config.t -> t
     {!error}. Runtime-only conditions (an exotic continuation deep in a
     program) degrade silently instead. *)
 
-val get : Config.t -> t
-(** [make] behind a bounded cache keyed on the configuration's program
-    sources (physical identity of entry/exit/recovery, process count)
-    and the current [!Prog.default_spin_fuel]. Use this on hot paths:
-    exploration re-creates machines from the same configuration
-    constantly. *)
-
 val hash_cont : unit Prog.t -> int
 (** Structural hash of a continuation — the fingerprint term shared by
     the compiled and interpreter paths. *)
@@ -54,12 +52,12 @@ val recovery_cont : Config.t -> Ids.Pid.t -> unit Prog.t
     then entry section; just the entry section when the configuration has
     no recovery). Both the compiler and the machine's interpreter path
     build it here so the closure — and hence the state fingerprint — is
-    identical across engines. *)
+    identical on both step paths. *)
 
 val abort_cont : Config.t -> Ids.Pid.t -> unit Prog.t
 (** The canonical continuation of an aborted process: its abort cleanup
     section alone ([Return ()] is the abort-done transition). Same
-    engine-agreement contract as {!recovery_cont}.
+    path-agreement contract as {!recovery_cont}.
     @raise Invalid_argument when the configuration has no abort
     section. *)
 

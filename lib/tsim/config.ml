@@ -47,37 +47,6 @@ let crash_semantics_name = function
   | Flush_buffer -> "flush-buffer"
   | Atomic_prefix -> "atomic-prefix"
 
-(* How a machine executes steps. The explorer always expands children in
-   place — step, recurse, then roll back through the mutation journal
-   (Machine.Journal), with incrementally-maintained fingerprints; the
-   engine only picks the step implementation:
-
-   - [`Journal]: interpret the continuations. The default.
-   - [`Compiled]: compile-ahead program execution (Compile):
-     continuations interned into a flat instruction array, cached
-     structural hashes, allocation-free steps. Only for declared-pure
-     programs; others run the interpreter. Verdicts, node counts and
-     fingerprints are identical to [`Journal]. *)
-type engine = [ `Journal | `Compiled ]
-
-let engine_name = function `Journal -> "journal" | `Compiled -> "compiled"
-
-(* Default engine for configurations that do not pick one explicitly.
-   The PA_ENGINE environment variable overrides it ("journal",
-   "compiled") so CI can run every existing suite under another engine
-   without touching the suites; an empty value counts as unset. Any other
-   value is rejected: a typo must not silently test the wrong engine. *)
-let default_engine () : engine =
-  match Sys.getenv_opt "PA_ENGINE" with
-  | None | Some ("" | "journal") -> `Journal
-  | Some "compiled" -> `Compiled
-  | Some v ->
-      invalid_arg
-        (Printf.sprintf
-           "Config.default_engine: PA_ENGINE=%S (expected \"journal\" or \
-            \"compiled\")"
-           v)
-
 (* How the explorer remembers visited states:
 
    - [Store_exact]: every distinct fingerprint is kept, in one growable
@@ -125,32 +94,32 @@ type t = {
          reusable in a statically bounded number of own-steps. [None]
          means the lock is not abortable: abort moves are never
          deliverable *)
-  engine : engine;
-      (* exploration child-expansion strategy (journal vs clone) *)
   pure_programs : bool;
       (* declared promise that [entry]/[exit_section]/[recovery] and every
          continuation they build are effect-free: constructing a program
          twice yields structurally identical terms and applying a
-         continuation has no observable effect besides its result. The
-         compile-ahead engine ([`Compiled]) caches interned continuations
-         and applies them at most once each, which is only faithful under
-         this promise — locks that pass per-passage scratch through
-         mutable OCaml arrays (ticket, CLH, the adaptive tree) must leave
-         it false, and [`Compiled] then degrades to the journal
-         interpreter for them *)
+         continuation has no observable effect besides its result.
+         Compiled steps (Compile) cache interned continuations and apply
+         them at most once each, which is only faithful under this
+         promise — locks that pass per-passage scratch through mutable
+         OCaml arrays (ticket, CLH, the adaptive tree) must leave it
+         false and run the interpreter *)
   store : store_mode;
-      (* exploration seen-state memory policy (exact vs memory-bounded) *)
+      (* exploration seen-state memory policy (exact vs bitstate) *)
 }
+
+(* The step-path rule (Machine.create): a machine compiles its programs
+   exactly when they are declared pure and it records no trace. Traced
+   machines (simulation, trace replay, erasure) run each continuation
+   about once, so compiling ahead would not pay. *)
+let compiled_steps c = c.pure_programs && not c.record_trace
 
 let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
     ?(rmw_drains = true) ?(check_exclusion = true) ?(record_trace = true)
-    ?(crash_semantics = Drop_buffer) ?recovery ?abort_section ?engine
+    ?(crash_semantics = Drop_buffer) ?recovery ?abort_section
     ?(pure_programs = false) ?(store = Store_exact) ~n ~layout ~entry
     ~exit_section () =
   if n <= 0 then invalid_arg "Config.make: n must be positive";
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
   (match store with
   | Store_exact -> ()
   | Store_bitstate { log2_bits; hashes } ->
@@ -160,13 +129,14 @@ let make ?(model = Cc_wb) ?(ordering = Tso) ?(max_passages = 1)
         invalid_arg "Config.make: bitstate hashes must be in [1, 8]");
   { n; model; ordering; layout; entry; exit_section; max_passages;
     rmw_drains; check_exclusion; record_trace; crash_semantics; recovery;
-    abort_section; engine; pure_programs; store }
+    abort_section; pure_programs; store }
 
 let summary c =
   Printf.sprintf
-    "n=%d model=%s ordering=%s passages=%d engine=%s store=%s crash=%s%s%s"
+    "n=%d model=%s ordering=%s passages=%d steps=%s store=%s crash=%s%s%s"
     c.n (mem_model_name c.model) (ordering_name c.ordering) c.max_passages
-    (engine_name c.engine) (store_mode_name c.store)
+    (if compiled_steps c then "compiled" else "interpreted")
+    (store_mode_name c.store)
     (crash_semantics_name c.crash_semantics)
     (if c.recovery = None then "" else " recovery")
     (if c.abort_section = None then "" else " abortable")

@@ -30,25 +30,6 @@ type crash_semantics = Drop_buffer | Flush_buffer | Atomic_prefix
 
 val crash_semantics_name : crash_semantics -> string
 
-(** Step implementation under exploration. The explorer always steps one
-    machine in place and rolls back through the mutation journal
-    ({!Machine.Journal}); [`Journal] (the default) interprets the
-    continuations, [`Compiled] runs compile-ahead program execution
-    ({!Compile}: continuations interned into a flat instruction array,
-    cached structural hashes, allocation-free steps) for declared-pure
-    programs and the interpreter otherwise. The two engines visit
-    identical state spaces with identical verdicts and fingerprints. *)
-type engine = [ `Journal | `Compiled ]
-
-val engine_name : engine -> string
-
-val default_engine : unit -> engine
-(** The engine {!make} uses when [?engine] is omitted: [`Journal], unless
-    the [PA_ENGINE] environment variable selects another ("journal",
-    "compiled"; empty counts as unset) — the hook CI uses to run every
-    suite under a different engine.
-    @raise Invalid_argument when [PA_ENGINE] holds any other value. *)
-
 (** Exploration seen-state memory policy:
 
     - [Store_exact]: every distinct fingerprint is remembered (the
@@ -99,17 +80,15 @@ type t = {
       (** cleanup section run after the adversary aborts the process at a
           declared wait point ({!Machine.abort}); must leave the lock
           reusable. [None] = not abortable, abort moves never apply *)
-  engine : engine;  (** exploration child-expansion strategy *)
   pure_programs : bool;
       (** declared promise that the program constructors and every
           continuation they build are effect-free (constructing a program
           twice yields structurally identical terms; applying a
-          continuation has no observable effect besides its result). The
-          [`Compiled] engine caches interned continuations and applies
-          each at most once, which is faithful only under this promise;
-          configurations that do not declare it degrade [`Compiled] to
-          the journal interpreter. Locks passing per-passage scratch
-          through mutable OCaml arrays must leave it [false]. *)
+          continuation has no observable effect besides its result).
+          Compiled steps ({!Compile}) cache interned continuations and
+          apply each at most once, which is faithful only under this
+          promise; see {!compiled_steps}. Locks passing per-passage
+          scratch through mutable OCaml arrays must leave it [false]. *)
   store : store_mode;  (** exploration seen-state memory policy *)
 }
 
@@ -123,7 +102,6 @@ val make :
   ?crash_semantics:crash_semantics ->
   ?recovery:(Pid.t -> unit Prog.t) ->
   ?abort_section:(Pid.t -> unit Prog.t) ->
-  ?engine:engine ->
   ?pure_programs:bool ->
   ?store:store_mode ->
   n:int ->
@@ -134,15 +112,23 @@ val make :
   t
 (** Defaults: [Cc_wb], [Tso], one passage, RMWs drain, exclusion checked,
     trace recorded, [Drop_buffer] crash semantics, no recovery section,
-    {!default_engine} (journal unless [PA_ENGINE] overrides it), programs
-    not declared pure, [Store_exact] seen-state store.
+    programs not declared pure, [Store_exact] seen-state store.
     @raise Invalid_argument if [n <= 0] or a [store] parameter is out of
-    range ([log2_bits] outside [10, 36], [hashes] outside [1, 8],
-    [log2_slots] outside [8, 30]). *)
+    range ([log2_bits] outside [10, 36], [hashes] outside [1, 8]). *)
+
+val compiled_steps : t -> bool
+(** The step-path rule: {!Machine.create} compiles a configuration's
+    programs ({!Compile}) exactly when they are declared pure and the
+    machine records no trace — every search over a pure lock. Impure
+    programs cannot be interned soundly; traced machines (simulation,
+    trace replay, erasure) run each continuation about once, so compiling
+    ahead would not pay. Both paths visit identical states with identical
+    fingerprints. There is no other switch. *)
 
 val summary : t -> string
 (** One-line human identity of a configuration
-    (["n=2 model=CC-WB ordering=TSO passages=1 engine=journal ..."]):
+    (["n=2 model=CC-WB ordering=TSO passages=1 steps=compiled ..."]; the
+    [steps] token is {!compiled_steps}):
     what a profile or report should record so two artifacts can be
     checked for comparability. Programs and layout are not rendered —
     two configs with equal summaries may still differ in code. *)

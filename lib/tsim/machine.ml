@@ -46,10 +46,10 @@ type proc = {
   mutable sec : section;
   mutable cont : unit Prog.t;
   mutable pc : int;
-      (* compiled engine: [Compile] pc of [cont], or -1 when this process
+      (* compiled steps: [Compile] pc of [cont], or -1 when this process
          is (temporarily) on the interpreter path. Invariant: [pc >= 0]
-         implies [cont == Compile.rep code pc]. Always -1 under the
-         interpreter engines. *)
+         implies [cont == Compile.rep code pc]. Always -1 on an
+         interpreted machine. *)
   buf : Wbuf.t;
   mutable in_fence : bool;  (* issued BeginFence, not yet EndFence *)
   mutable fence_implicit : bool;  (* current fence is an RMW drain *)
@@ -132,9 +132,9 @@ type t = {
   mutable active_count : int;  (* processes currently outside their NCS *)
   mutable crash_count : int;  (* total crash faults injected *)
   mutable abort_count : int;  (* total abort faults injected *)
-  code : Compile.t option;  (* compiled programs ([`Compiled] engine) *)
+  code : Compile.t option;  (* compiled programs (Config.compiled_steps) *)
   mutable quiet : bool;
-      (* [`Compiled] with trace recording off, or [lean]: emission skips
+      (* compiled (hence untraced), or [lean]: emission skips
          even the event-record allocation and returns [Event.dummy] (the
          RMR / critical counters are still maintained) *)
   mutable lean : bool;
@@ -194,13 +194,13 @@ let create (cfg : Config.t) =
   let nvars = Layout.size cfg.layout in
   let mem = Array.init nvars (fun v -> Layout.init cfg.layout v) in
   let code =
-    (* compile-ahead caches continuations and applies each at most once,
-       which is only faithful to the interpreter for declared-pure
-       programs; without the declaration [`Compiled] runs the journal
-       interpreter *)
-    match cfg.engine with
-    | `Compiled when cfg.pure_programs -> Some (Compile.get cfg)
-    | `Compiled | `Journal -> None
+    (* the step-path rule (Config.compiled_steps); a program the compiler
+       rejects ahead of execution still runs, interpreted *)
+    if Config.compiled_steps cfg then
+      match Compile.make cfg with
+      | c -> Some c
+      | exception Compile.Error _ -> None
+    else None
   in
   let pc0 = match code with Some c -> Compile.unit_pc c | None -> -1 in
   let procs =
@@ -249,7 +249,7 @@ let create (cfg : Config.t) =
     crash_count = 0;
     abort_count = 0;
     code;
-    quiet = Option.is_some code && not cfg.record_trace;
+    quiet = Option.is_some code;
     lean = false;
     flog = Flatstate.create ();
     journaling = false;
@@ -318,7 +318,7 @@ let set_lean m b =
   if b && m.cfg.Config.record_trace then
     invalid_arg "Machine.set_lean: incompatible with record_trace";
   m.lean <- b;
-  m.quiet <- (b || Option.is_some m.code) && not m.cfg.Config.record_trace
+  m.quiet <- b || Option.is_some m.code
 
 let lean m = m.lean
 let config m = m.cfg
@@ -462,7 +462,7 @@ let pending_var m p : Var.t =
 
 (* --- fingerprints ----------------------------------------------------- *)
 
-(* Packed 63-bit state fingerprint, shared by both step engines.
+(* Packed 63-bit state fingerprint, shared by both step paths.
 
    Structure: an XOR fold of independent terms — one Zobrist-style term
    per shared variable and one term per process —
@@ -502,7 +502,7 @@ let[@inline] zmix v x = zfin (mix (mix fnv_basis (v + 1)) x)
 
 (* Continuations are hashed structurally (see Compile.hash_cont: raised
    traversal bounds so distinct continuation shapes hash apart). The
-   compiled engine reads the hash from the instruction array instead of
+   compiled path reads the hash from the instruction array instead of
    re-traversing the continuation — same value, cached at interning. *)
 let hash_cont = Compile.hash_cont
 
@@ -566,7 +566,7 @@ let pending_hash m p h =
               else mix (mix (mix h 13) v) x
           | Prog.Abortable b -> mix (mix h 16) (if b then 1 else 0)))
 
-(* Profiling location digest. The compiled engine's pc is exact; the
+(* Profiling location digest. The compiled path's pc is exact; the
    interpreter fallback digests the {e pending operation} (op kind,
    variable, static operands — exactly [pending_hash]'s classification)
    rather than hashing the continuation structurally: a handful of
@@ -617,7 +617,7 @@ let proc_term m p =
   in
   zfin (buf_hash pr.buf h 0 (Wbuf.size pr.buf))
 
-(* Full recompute: the reference implementation for both engines and the
+(* Full recompute: the reference implementation for both step paths and the
    paranoid cross-check for the incremental fold. *)
 let fingerprint m =
   let h = ref (fnv_basis land max_int) in
@@ -934,7 +934,7 @@ let emit m pr kind ~remote ~rmr ~critical =
   end;
   e
 
-(* Quiet emission ([`Compiled] with trace recording off): skip even the
+(* Quiet emission (compiled or lean, so untraced): skip even the
    event-record allocation — callers guard the kind construction too —
    but keep the RMR / critical counters exact. The returned event is
    [Event.dummy]; exploration never reads it. *)
@@ -1413,7 +1413,7 @@ let abort m p =
   pr.rmw_fenced <- false;
   (* the cleanup continuation is built by Compile.abort_cont on both
      paths — capturing only immutable data — so the structural hash (part
-     of the state fingerprint) matches across engines *)
+     of the state fingerprint) matches across step paths *)
   (match m.code with
   | Some code ->
       let root = Compile.abort_pc code pr.pid in
@@ -1449,7 +1449,7 @@ let do_enter m pr =
   pr.sec <- Entry;
   (* The recovering continuation is built by Compile.recovery_cont on
      both paths — capturing only immutable data — so the structural hash
-     (part of the state fingerprint) matches across engines. *)
+     (part of the state fingerprint) matches across step paths. *)
   (match m.code with
   | Some code ->
       let root =

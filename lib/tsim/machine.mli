@@ -49,9 +49,9 @@ type proc = {
   mutable sec : section;
   mutable cont : unit Prog.t;
   mutable pc : int;
-      (** compiled-engine program counter: when [>= 0], [cont] is the
-          interned representative {!Compile.rep} of this pc; [-1] on
-          interpreter engines or when the compiled program degraded to
+      (** compiled-path program counter: when [>= 0], [cont] is the
+          interned representative {!Compile.rep} of this pc; [-1] on an
+          interpreted machine ({!Config.compiled_steps}) or when the compiled program degraded to
           the interpreter path for this section *)
   buf : Wbuf.t;
   mutable in_fence : bool;
@@ -136,7 +136,10 @@ val pending_var : t -> Pid.t -> Var.t
 
 val create : Config.t -> t
 (** A fresh machine in the initial configuration (all processes in their
-    NCS, buffers empty, variables at their initial values). *)
+    NCS, buffers empty, variables at their initial values). Steps run
+    compiled ({!Compile.make}, once per call; clones share the code)
+    when {!Config.compiled_steps} holds and the compiler accepts the
+    programs; otherwise they are interpreted. *)
 
 val clone : t -> t
 (** Deep copy (continuations are immutable and shared). The explorer
@@ -198,8 +201,8 @@ val loc_key : t -> Pid.t -> int
 (** Stable program-location key of the process: the compiled pc when
     the process is on the compiled path ([proc.pc >= 0]), otherwise the
     structural continuation digest ({!Compile.hash_cont} — the same
-    value the compiled engine caches at interning, so a location keys
-    identically across engines). The profiler's location axis. *)
+    value the compiled path caches at interning, so a location keys
+    identically on both step paths). The profiler's location axis. *)
 
 val passages : t -> Pid.t -> int
 val fences_completed : t -> Pid.t -> int

@@ -7,7 +7,7 @@
    errors. Explorer level: the abort adversary proves the abortable TAS
    and abortable queue locks safe under an abort budget, refutes the
    deliberately buggy cleanup (which frees a lock the aborting process
-   does not hold), and composes with crash faults — all three engines,
+   does not hold), and composes with crash faults — both step paths,
    por on and off, agreeing on verdicts and fingerprint multisets.
    Replay level: abort schedules replay bit-identically, ill-timed abort
    lines are a typed outcome, walk/undo restores abort transitions
@@ -183,59 +183,56 @@ let test_buggy_cleanup_refuted () =
       | E.R_exclusion _ -> ()
       | _ -> Alcotest.fail "replay did not reproduce the exclusion")
 
-(* --- abort × crash composition across all three engines ----------------- *)
+(* --- abort × crash composition on both step paths ------------------------ *)
 
 let atas_crashy_cfg () =
   Locks.Harness.config_of_lock ~model:Config.Cc_wb
     ~crash_semantics:Config.Drop_buffer
     (Locks.Abortable_tas.make ~n:2) ~n:2
 
-let fp_multiset ~engine ~por ~max_crashes ~max_aborts cfg =
+let fp_multiset ~path ~por ~max_crashes ~max_aborts cfg =
   let tbl = Hashtbl.create 1024 in
   let r =
     E.explore ~max_nodes:500_000 ~por ~max_crashes ~max_aborts
       ~on_fingerprint:(fun fp ->
         Hashtbl.replace tbl fp
           (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-      (Suite_mcheck_equiv.with_engine engine cfg)
+      (Tutil.with_path path cfg)
   in
   (r, tbl)
 
 (* Both fault budgets at once: exclusion still holds (crashes may land
    inside abort cleanup sections), both fault kinds are exercised, and
-   the journal and compiled engines visit identical fingerprint
+   the interpreted and compiled step paths visit identical fingerprint
    multisets with and without the reduction. *)
 let test_abort_crash_composition () =
   List.iter
     (fun por ->
-      let tag engine =
-        Printf.sprintf "%s por=%b" (Config.engine_name engine) por
-      in
+      let tag path = Printf.sprintf "%s por=%b" (Tutil.path_name path) por in
       let rj, tj =
-        fp_multiset ~engine:`Journal ~por ~max_crashes:1 ~max_aborts:1
+        fp_multiset ~path:`Interpreted ~por ~max_crashes:1 ~max_aborts:1
           (atas_crashy_cfg ())
       in
-      Alcotest.(check bool) (tag `Journal ^ ": verified") true rj.E.verified;
       Alcotest.(check bool)
-        (tag `Journal ^ ": crashes exercised")
+        (tag `Interpreted ^ ": verified")
+        true rj.E.verified;
+      Alcotest.(check bool)
+        (tag `Interpreted ^ ": crashes exercised")
         true
         (rj.E.stats.E.crashes_applied > 0);
       Alcotest.(check bool)
-        (tag `Journal ^ ": aborts exercised")
+        (tag `Interpreted ^ ": aborts exercised")
         true
         (rj.E.stats.E.aborts_applied > 0);
-      List.iter
-        (fun engine ->
-          let r, t =
-            fp_multiset ~engine ~por ~max_crashes:1 ~max_aborts:1
-              (atas_crashy_cfg ())
-          in
-          Alcotest.(check bool) (tag engine ^ ": verified") true r.E.verified;
-          Alcotest.(check int) (tag engine ^ ": nodes") rj.E.nodes r.E.nodes;
-          Suite_mcheck_equiv.check_fp_multisets
-            (tag engine ^ " vs journal")
-            tj t)
-        [ `Compiled ])
+      let r, t =
+        fp_multiset ~path:`Compiled ~por ~max_crashes:1 ~max_aborts:1
+          (atas_crashy_cfg ())
+      in
+      Alcotest.(check bool) (tag `Compiled ^ ": verified") true r.E.verified;
+      Alcotest.(check int) (tag `Compiled ^ ": nodes") rj.E.nodes r.E.nodes;
+      Suite_mcheck_equiv.check_fp_multisets
+        (tag `Compiled ^ " vs interpreted")
+        tj t)
     [ true; false ]
 
 (* --- typed partial verdict for an external interrupt --------------------- *)
@@ -323,9 +320,12 @@ let prop_abort_replay_deterministic =
    any reachable state, applying an enabled move (including Abort and
    Crash) and rolling it back through the journal must restore the state
    exactly, with both fingerprints agreeing. *)
-let walk_restores ~engine cfg seed =
+let walk_restores ~path cfg seed =
   let rng = Random.State.make [| seed |] in
-  let m = Machine.create { cfg with Config.engine } in
+  let m = Machine.create (Tutil.with_path path cfg) in
+  (* the compiled walk must really run compiled *)
+  if path = `Compiled && (Machine.proc m 0).Machine.pc < 0 then
+    Alcotest.fail "compiled walk: machine is interpreted";
   Machine.Journal.enable m;
   let steps = ref 0 and continue = ref true in
   while !continue && !steps < 60 do
@@ -367,10 +367,10 @@ let walk_props =
   [
     QCheck.Test.make ~count:60 ~name:"walk/undo over aborts (journal)"
       QCheck.small_nat (fun seed ->
-        walk_restores ~engine:`Journal (atas_crashy_cfg ()) seed);
+        walk_restores ~path:`Interpreted (atas_crashy_cfg ()) seed);
     QCheck.Test.make ~count:60 ~name:"walk/undo over aborts (compiled)"
       QCheck.small_nat (fun seed ->
-        walk_restores ~engine:`Compiled (atas_crashy_cfg ()) seed);
+        walk_restores ~path:`Compiled (atas_crashy_cfg ()) seed);
   ]
 
 (* --- schedule codec ------------------------------------------------------ *)

@@ -1,4 +1,9 @@
-(* The compile-ahead engine (Tsim.Compile), locked down three ways:
+(* Compile-ahead execution (Tsim.Compile), locked down four ways:
+
+   - the step-path rule: a machine compiles exactly when its programs are
+     declared pure and it records no trace (Config.compiled_steps), a
+     program the compiler rejects still runs interpreted, and nothing
+     compiled under one spin fuel reaches a search under another;
 
    - a lockstep single-step oracle: qcheck random walks drive one
      interpretive machine and one compiled machine through the SAME move
@@ -68,12 +73,12 @@ let exn_class = function
 
 (* Drive both machines through the same randomly chosen enabled moves,
    checking the full observable projection after every event. An
-   exception must surface from both engines with the same class; it may
+   exception must surface from both paths with the same class; it may
    leave partial mutations behind, so it ends the walk. *)
 let lockstep_walk ?(max_crashes = 0) cfg seed =
   let rng = Random.State.make [| seed |] in
-  let mi = Machine.create { cfg with Config.engine = `Journal } in
-  let mc = Machine.create { cfg with Config.engine = `Compiled } in
+  let mi = Machine.create (Tutil.with_path `Interpreted cfg) in
+  let mc = Machine.create (Tutil.with_path `Compiled cfg) in
   Machine.Journal.enable mi;
   Machine.Journal.enable mc;
   let steps = ref 0 and continue = ref true in
@@ -102,7 +107,7 @@ let lockstep_walk ?(max_crashes = 0) cfg seed =
               a b;
             continue := false
         | Ok (), Error e | Error e, Ok () ->
-            Alcotest.failf "%s: engines disagree on raising %s from %s" tag e
+            Alcotest.failf "%s: paths disagree on raising %s from %s" tag e
               (E.move_to_string mv))
   done;
   true
@@ -119,7 +124,9 @@ let prop_lockstep name ?max_crashes mk_cfg arb =
    so even the physical-identity comparison in Machine.equal holds. *)
 let compiled_walk_restores ?(max_crashes = 0) cfg seed =
   let rng = Random.State.make [| seed |] in
-  let m = Machine.create { cfg with Config.engine = `Compiled } in
+  let m = Machine.create (Tutil.with_path `Compiled cfg) in
+  Alcotest.(check bool) "the walk runs compiled" true
+    ((Machine.proc m 0).Machine.pc >= 0);
   Machine.Journal.enable m;
   let steps = ref 0 and continue = ref true in
   while !continue && !steps < 60 do
@@ -160,6 +167,18 @@ let one_proc entry =
         ~exit_section:(fun _ -> Prog.unit)
         () )
 
+(* Searching a declared-pure configuration whose programs the compiler
+   rejects gives the interpreter's verdict and node count: Machine.create
+   falls back instead of raising. *)
+let check_interpreted_fallback mk_cfg =
+  let run cfg = E.explore ~max_nodes:100_000 cfg in
+  let r = run (mk_cfg ()) in
+  let ri = run (Tutil.with_path `Interpreted (mk_cfg ())) in
+  Alcotest.(check bool) "search runs: verified as interpreted"
+    ri.E.verified r.E.verified;
+  Alcotest.(check int) "search runs: nodes as interpreted" ri.E.nodes
+    r.E.nodes
+
 let test_program_too_large () =
   let _, mk_cfg =
     one_proc (fun v ->
@@ -173,12 +192,29 @@ let test_program_too_large () =
         in
         chain 64)
   in
-  match Compile.make ~max_instrs:16 (mk_cfg ()) with
+  (match Compile.make ~max_instrs:16 (mk_cfg ()) with
   | _ -> Alcotest.fail "expected Program_too_large"
   | exception Compile.Error (Compile.Program_too_large { limit; _ }) ->
       Alcotest.(check int) "reports the budget it overflowed" 16 limit
   | exception Compile.Error e ->
-      Alcotest.failf "wrong error: %s" (Compile.error_to_string e)
+      Alcotest.failf "wrong error: %s" (Compile.error_to_string e));
+  (* past the default budget: a CAS tree of depth 17 has 2^17 distinct
+     continuations (eager bool-edge closing interns them all), while an
+     execution follows a single 17-CAS path *)
+  let _, mk_cfg =
+    one_proc (fun v ->
+        let rec tree d k =
+          if d = 0 then write v k
+          else
+            let* ok = cas v ~expected:0 ~desired:0 in
+            tree (d - 1) ((2 * k) + if ok then 0 else 1)
+        in
+        tree 17 0)
+  in
+  (match Compile.make (mk_cfg ()) with
+  | _ -> Alcotest.fail "expected Program_too_large at the default budget"
+  | exception Compile.Error (Compile.Program_too_large _) -> ());
+  check_interpreted_fallback mk_cfg
 
 let test_opaque_continuation () =
   let ch = stdin in
@@ -192,13 +228,14 @@ let test_opaque_continuation () =
           unit)
         else unit)
   in
-  match Compile.make (mk_cfg ()) with
+  (match Compile.make (mk_cfg ()) with
   | _ -> Alcotest.fail "expected Opaque_continuation"
   | exception Compile.Error (Compile.Opaque_continuation { reason; _ }) ->
       Alcotest.(check bool) "reason is non-empty" true
         (String.length reason > 0)
   | exception Compile.Error e ->
-      Alcotest.failf "wrong error: %s" (Compile.error_to_string e)
+      Alcotest.failf "wrong error: %s" (Compile.error_to_string e));
+  check_interpreted_fallback mk_cfg
 
 (* Run-time limits are budgets, not errors: new read results intern new
    instructions on demand (memoized up to [max_fanout]); once the code
@@ -237,32 +274,120 @@ let test_fanout_degrades () =
         (Compile.advance_val c' pc' k 7)
   | _ -> Alcotest.fail "entry root should be a read"
 
-(* Impure configurations must degrade [`Compiled] to the journal
-   interpreter wholesale rather than compile a lying cache: same
-   verdict, same node count, same fingerprint multiset. *)
-let test_impure_degrades () =
-  let mk_cfg engine =
+(* --- the step-path rule ------------------------------------------------ *)
+
+let pcs m =
+  List.init (Machine.n_procs m) (fun p -> (Machine.proc m p).Machine.pc)
+
+(* Drive a machine along its first enabled move for a few events
+   (stopping at the first exception) and collect every process pc seen
+   on the way. *)
+let pcs_along m =
+  let seen = ref (pcs m) in
+  (try
+     for _ = 1 to 40 do
+       match E.enabled_moves m with
+       | [] -> raise Exit
+       | mv :: _ ->
+           E.apply m mv;
+           seen := pcs m @ !seen
+     done
+   with _ -> ());
+  !seen
+
+(* A pure untraced machine steps compiled; a pure traced machine and an
+   impure untraced one interpret everywhere, and Config.compiled_steps
+   (rendered in the summary) says so. *)
+let test_selection_rule () =
+  let tas ~pure ~record_trace =
+    {
+      (Locks.Harness.config_of_lock ~model:Config.Cc_wb
+         (Locks.Tas.make ~n:2) ~n:2)
+      with
+      Config.pure_programs = pure;
+      record_trace;
+    }
+  in
+  let ticket =
     {
       (Locks.Harness.config_of_lock ~model:Config.Cc_wb
          (Locks.Ticket.make ~n:2) ~n:2)
       with
-      Config.engine;
+      Config.record_trace = false;
     }
   in
-  let run engine =
+  let has s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let cfg = tas ~pure:true ~record_trace:false in
+  Alcotest.(check bool) "pure untraced: compiled_steps" true
+    (Config.compiled_steps cfg);
+  Alcotest.(check bool) "pure untraced: summary" true
+    (has (Config.summary cfg) "steps=compiled");
+  Alcotest.(check bool) "pure untraced: a process pc >= 0" true
+    (List.exists (fun pc -> pc >= 0) (pcs (Machine.create cfg)));
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool) (name ^ ": compiled_steps") false
+        (Config.compiled_steps cfg);
+      Alcotest.(check bool) (name ^ ": summary") true
+        (has (Config.summary cfg) "steps=interpreted");
+      Alcotest.(check bool) (name ^ ": pc = -1 everywhere") true
+        (List.for_all (fun pc -> pc = -1) (pcs_along (Machine.create cfg))))
+    [ ("pure traced", tas ~pure:true ~record_trace:true);
+      ("impure tas", tas ~pure:false ~record_trace:false);
+      ("ticket (declared impure)", ticket) ]
+
+(* Each machine compiles its own code: code built while the explorer ran
+   at spin fuel 2 must not serve a later fuel-6 search of the very same
+   configuration value. *)
+let test_no_fuel_leak () =
+  let cfg () =
+    Locks.Harness.config_of_lock ~model:Config.Cc_wb (Locks.Tas.make ~n:3)
+      ~n:3
+  in
+  let alone = E.explore ~spin_fuel:6 (cfg ()) in
+  let shared = cfg () in
+  let low = E.explore ~spin_fuel:2 shared in
+  let after = E.explore ~spin_fuel:6 shared in
+  Alcotest.(check bool) "fuel changes the space (the check can fail)" true
+    (low.E.nodes <> alone.E.nodes);
+  Alcotest.(check int) "nodes as a fuel-6 run alone" alone.E.nodes
+    after.E.nodes;
+  Alcotest.(check int) "seen entries as a fuel-6 run alone"
+    alone.E.stats.E.seen_entries after.E.stats.E.seen_entries
+
+(* Impure configurations never compile (no lying cache): the ticket lock
+   searched as declared and with its programs explicitly undeclared
+   agrees on verdict, node count and fingerprint multiset, and its
+   search machine interprets. *)
+let test_impure_degrades () =
+  let mk_cfg () =
+    Locks.Harness.config_of_lock ~model:Config.Cc_wb (Locks.Ticket.make ~n:2)
+      ~n:2
+  in
+  let run path =
     let tbl = Hashtbl.create 256 in
     let r =
       E.explore ~max_nodes:500_000
         ~on_fingerprint:(fun fp ->
           Hashtbl.replace tbl fp
             (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-        (mk_cfg engine)
+        (Tutil.with_path path (mk_cfg ()))
     in
     (r, tbl)
   in
   Alcotest.(check bool) "ticket lock is declared impure" false
-    (mk_cfg `Journal).Config.pure_programs;
-  let rj, tj = run `Journal and rc, tc = run `Compiled in
+    (mk_cfg ()).Config.pure_programs;
+  Alcotest.(check bool) "its search machine interprets" true
+    (List.for_all
+       (fun pc -> pc = -1)
+       (pcs (Machine.create (Tutil.with_path `Compiled (mk_cfg ())))));
+  let rj, tj = run `Interpreted and rc, tc = run `Compiled in
   Alcotest.(check bool) "verified agrees" rj.E.verified rc.E.verified;
   Alcotest.(check int) "nodes agree" rj.E.nodes rc.E.nodes;
   Alcotest.(check int) "distinct fingerprints agree" (Hashtbl.length tj)
@@ -274,38 +399,6 @@ let test_impure_degrades () =
         n
         (Option.value ~default:0 (Hashtbl.find_opt tc fp)))
     tj
-
-(* --- the PA_ENGINE hook --------------------------------------------------- *)
-
-(* The environment override CI uses to run every suite under the
-   compiled engine must reject anything it does not know: a typo would
-   otherwise silently test the default engine. The variable is restored
-   afterwards (an empty value counts as unset, and the stdlib has no
-   unsetenv). *)
-let test_pa_engine_strict () =
-  let saved = Option.value ~default:"" (Sys.getenv_opt "PA_ENGINE") in
-  Fun.protect ~finally:(fun () -> Unix.putenv "PA_ENGINE" saved)
-  @@ fun () ->
-  let with_env v =
-    Unix.putenv "PA_ENGINE" v;
-    Config.default_engine ()
-  in
-  Alcotest.(check string) "journal" "journal"
-    (Config.engine_name (with_env "journal"));
-  Alcotest.(check string) "compiled" "compiled"
-    (Config.engine_name (with_env "compiled"));
-  Alcotest.(check string) "empty = unset" "journal"
-    (Config.engine_name (with_env ""));
-  List.iter
-    (fun v ->
-      Alcotest.check_raises ("PA_ENGINE=" ^ v ^ " rejected")
-        (Invalid_argument
-           (Printf.sprintf
-              "Config.default_engine: PA_ENGINE=%S (expected \"journal\" or \
-               \"compiled\")"
-              v))
-        (fun () -> ignore (with_env v)))
-    [ "clone"; "compield"; "Compiled" ]
 
 (* --- workloads for the walks ------------------------------------------- *)
 
@@ -339,6 +432,8 @@ let suite =
       test_fanout_degrades;
     Alcotest.test_case "impure configuration degrades to the interpreter"
       `Quick test_impure_degrades;
-    Alcotest.test_case "PA_ENGINE rejects unknown values" `Quick
-      test_pa_engine_strict;
+    Alcotest.test_case "step path follows Config.compiled_steps" `Quick
+      test_selection_rule;
+    Alcotest.test_case "no compiled code leaks across spin fuels" `Quick
+      test_no_fuel_leak;
   ]

@@ -66,17 +66,19 @@ let load file =
   | Ok schedule -> schedule
   | Error msg -> Alcotest.failf "%s: %s" file msg
 
-(* Replay a fixture under every engine and check: the expected exclusion
+(* Replay a fixture on both step paths and check: the expected exclusion
    fires, with the expected holder/intruder; and the replay is
-   deterministic AND engine-invariant — each run stops at the same
-   outcome with fingerprint-identical machines (the corpus pins the
-   compiled engine's execution semantics, not just the interpreter's). *)
+   deterministic AND path-invariant — the traced replay (interpreted) and
+   the untraced one (compiled, for declared-pure configurations) stop at
+   the same outcome with fingerprint-identical machines, so the corpus
+   pins the compiled path's execution semantics, not just the
+   interpreter's. *)
 let check_fixture file mk_cfg =
   let schedule = load file in
-  let replay engine =
-    Mcheck.Explore.replay { (mk_cfg ()) with Config.engine } schedule
+  let replay record_trace =
+    Mcheck.Explore.replay { (mk_cfg ()) with Config.record_trace } schedule
   in
-  let m1, o1 = replay `Journal in
+  let m1, o1 = replay true in
   (match o1 with
   | Mcheck.Explore.R_exclusion (h, i) ->
       Alcotest.(check int) "holder p0" 0 h;
@@ -90,16 +92,15 @@ let check_fixture file mk_cfg =
   | Mcheck.Explore.R_stuck (i, msg) ->
       Alcotest.failf "%s: stuck at move %d: %s" file i msg);
   List.iter
-    (fun engine ->
-      let m2, o2 = replay engine in
-      Alcotest.(check bool)
-        (Config.engine_name engine ^ " replay: same outcome")
-        true (o1 = o2);
+    (fun record_trace ->
+      let m2, o2 = replay record_trace in
+      let tag = if record_trace then "traced" else "untraced" in
+      Alcotest.(check bool) (tag ^ " replay: same outcome") true (o1 = o2);
       Alcotest.(check int)
-        (Config.engine_name engine ^ " replay: same final state")
+        (tag ^ " replay: same final state")
         (Mcheck.Explore.fingerprint m1)
         (Mcheck.Explore.fingerprint m2))
-    [ `Journal; `Compiled ]
+    [ true; false ]
 
 let test_peterson_fixture () =
   check_fixture "peterson_unfenced_tso.sched" (fun () ->
@@ -177,30 +178,6 @@ let test_abort_fixture () =
   | _, Mcheck.Explore.R_exclusion _ ->
       Alcotest.fail "proper cleanup reached the exclusion"
   | _ -> ()
-
-(* Byte-level invisibility of compile-ahead execution: replaying the
-   pinned schedule with trace recording on must produce the exact Chrome
-   export golden-filed for the interpreter engines — same events, same
-   sequence numbers, same rendering, to the byte. *)
-let test_chrome_compiled_identical () =
-  let schedule = load "peterson_unfenced_tso.sched" in
-  let export engine =
-    let cfg =
-      { (peterson ~fenced:false) with Config.record_trace = true; engine }
-    in
-    let m, outcome = Mcheck.Explore.replay cfg schedule in
-    (match outcome with
-    | Mcheck.Explore.R_exclusion _ -> ()
-    | _ -> Alcotest.fail "fixture replay should end in the exclusion");
-    Execution.Chrome.to_string (Execution.Trace.of_machine m)
-  in
-  let golden =
-    In_channel.with_open_bin
-      (Filename.concat "corpus" "peterson_unfenced_tso.trace.json")
-      In_channel.input_all
-  in
-  Alcotest.(check string) "compiled replay matches the golden bytes" golden
-    (export `Compiled)
 
 (* A freshly explored violation on the same configuration still finds an
    exclusion (the fixture is not the only witness, just a pinned one). *)
@@ -291,8 +268,6 @@ let suite =
       test_crash_fixture;
     Alcotest.test_case "abortable-tas abort fixture replays" `Quick
       test_abort_fixture;
-    Alcotest.test_case "compiled chrome export matches golden bytes" `Quick
-      test_chrome_compiled_identical;
     Alcotest.test_case "fixture violation still reachable" `Quick
       test_fixture_still_reachable;
     Alcotest.test_case "parser rejects malformed moves" `Quick

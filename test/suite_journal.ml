@@ -15,15 +15,15 @@
      the explorer must reach exactly the oracle's state set; with it, the
      oracle's verdict;
 
-   - a differential check over the golden workloads: the journal and
-     compiled step engines, at 1 and 4 domains, with and without the
-     reduction, produce identical verdicts (node counts and depths too at
-     one domain; at 4 the shared store makes those timing-dependent),
-     and sequentially, via [~on_fingerprint], identical fingerprint
-     multisets;
+   - a differential check over the golden workloads (at 1 and 4 domains,
+     with and without the reduction) and every zoo lock that declares
+     pure programs: the interpreted and compiled step paths produce
+     identical verdicts (node counts, depths and, via [~on_fingerprint],
+     fingerprint multisets too at one domain; at 4 the shared store makes
+     those timing-dependent);
 
    - byte-level invisibility: replaying the corpus fixture with trace
-     recording on under either engine produces the byte-identical Chrome
+     recording (and the journal) on produces the byte-identical Chrome
      export pinned by test/corpus/peterson_unfenced_tso.trace.json. *)
 
 open Tsim
@@ -62,7 +62,7 @@ let mp_pso () =
   let flag = Layout.var layout "flag" in
   let blocked = Layout.var layout "blocked" in
   Config.make ~model:Config.Cc_wb ~ordering:Config.Pso ~check_exclusion:true
-    ~n:2 ~layout
+    ~pure_programs:true ~n:2 ~layout
     ~entry:(fun p ->
       if p = 0 then
         let* () = write data 1 in
@@ -197,9 +197,9 @@ let oracle ?(max_crashes = 0) cfg =
 let check_oracle name ?(max_crashes = 0) cfg =
   let states, violation = oracle ~max_crashes cfg in
   List.iter
-    (fun engine ->
-      let cfg = { cfg with Config.engine } in
-      let tag = Printf.sprintf "%s (%s)" name (Config.engine_name engine) in
+    (fun path ->
+      let cfg = Tutil.with_path path cfg in
+      let tag = Printf.sprintf "%s (%s)" name (Tutil.path_name path) in
       let root = Machine.fingerprint (Machine.create cfg) in
       let fps = Hashtbl.create 4096 in
       Hashtbl.replace fps root ();
@@ -225,7 +225,7 @@ let check_oracle name ?(max_crashes = 0) cfg =
       Alcotest.(check bool)
         (tag ^ ": por verdict = oracle verdict")
         (not violation) rp.E.verified)
-    [ `Journal; `Compiled ]
+    [ `Interpreted; `Compiled ]
 
 let test_oracle_peterson () =
   check_oracle "peterson unfenced" (peterson_unfenced ())
@@ -238,31 +238,63 @@ let test_oracle_rtas () =
   check_oracle "rtas atomic-prefix" ~max_crashes:1
     (rtas ~crash_semantics:Config.Atomic_prefix ())
 
-(* --- engine differential ------------------------------------------------ *)
+(* --- step-path differential --------------------------------------------- *)
 
 let kind_name = function
   | `Exclusion (a, b) -> Printf.sprintf "exclusion(%d,%d)" a b
   | `Deadlock -> "deadlock"
   | `Spin_exhausted -> "spin"
 
-let explore_with ~engine ~domains ~por ?on_fingerprint ?max_crashes cfg =
-  E.explore ~max_nodes:200_000 ~domains ~por ?on_fingerprint ?max_crashes
-    { cfg with Config.engine }
+let explore_with ?(max_nodes = 200_000) ~path ~domains ~por ?on_fingerprint
+    ?max_crashes ?max_aborts cfg =
+  E.explore ~max_nodes ~domains ~por ?on_fingerprint ?max_crashes
+    ?max_aborts (Tutil.with_path path cfg)
 
-(* Journal vs compiled at the same (domains, por): same verdict, same
-   violation kinds, same exhaustion. Node counts and max depth are only
-   compared sequentially: with the shared fingerprint store, which
+let count_into tbl fp =
+  Hashtbl.replace tbl fp
+    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp))
+
+let check_multisets name ti tc =
+  Alcotest.(check int)
+    (name ^ ": distinct fingerprints")
+    (Hashtbl.length ti) (Hashtbl.length tc);
+  Hashtbl.iter
+    (fun fp n ->
+      match Hashtbl.find_opt tc fp with
+      | Some n' when n = n' -> ()
+      | Some n' ->
+          Alcotest.failf "%s: fingerprint %#x visited %d (interpreted) vs %d \
+                          (compiled) times"
+            name fp n n'
+      | None ->
+          Alcotest.failf "%s: fingerprint %#x visited by the interpreter only"
+            name fp)
+    ti
+
+(* Interpreted vs compiled at the same (domains, por): same verdict, same
+   violation kinds, same exhaustion. Node counts, max depth and the
+   fingerprint multiset are only compared sequentially: with the shared
+   fingerprint store, which
    domain claims a state first decides the depth it is recorded at (and,
    under nontrivial sleep masks, how much mask-aware re-exploration
    happens), so those tallies are timing-dependent at domains > 1 —
    deliberately outside the determinism contract (explore.mli). *)
-let check_engines name ?max_crashes cfg =
+let check_engines name ?max_nodes
+    ?(settings = [ (1, true); (1, false); (4, true); (4, false) ])
+    ?max_crashes ?max_aborts cfg =
+  if not cfg.Config.pure_programs then
+    Alcotest.failf "%s: the differential needs declared-pure programs" name;
   List.iter
     (fun (domains, por) ->
-      let rj = explore_with ~engine:`Journal ~domains ~por ?max_crashes cfg in
-      let rc =
-        explore_with ~engine:`Compiled ~domains ~por ?max_crashes cfg
+      let ti = Hashtbl.create 1024 and tc = Hashtbl.create 1024 in
+      let run path tbl =
+        let on_fingerprint =
+          if domains = 1 then Some (count_into tbl) else None
+        in
+        explore_with ?max_nodes ~path ~domains ~por ?on_fingerprint
+          ?max_crashes ?max_aborts cfg
       in
+      let rj = run `Interpreted ti and rc = run `Compiled tc in
       let tag =
         Printf.sprintf "%s domains=%d por=%b" name domains por
       in
@@ -272,13 +304,14 @@ let check_engines name ?max_crashes cfg =
       if domains = 1 then begin
         Alcotest.(check int) (tag ^ ": nodes") rj.E.nodes rc.E.nodes;
         Alcotest.(check int)
-          (tag ^ ": max depth") rj.E.max_depth rc.E.max_depth
+          (tag ^ ": max depth") rj.E.max_depth rc.E.max_depth;
+        check_multisets tag ti tc
       end;
       Alcotest.(check (list string))
         (tag ^ ": violation kinds")
         (List.map (fun v -> kind_name v.E.kind) rj.E.violations)
         (List.map (fun v -> kind_name v.E.kind) rc.E.violations))
-    [ (1, true); (1, false); (4, true); (4, false) ]
+    settings
 
 let test_engines_peterson () = check_engines "peterson" (peterson_unfenced ())
 let test_engines_mp_pso () = check_engines "mp_pso" (mp_pso ())
@@ -287,37 +320,47 @@ let test_engines_rtas () =
   check_engines "rtas" ~max_crashes:1
     (rtas ~crash_semantics:Config.Drop_buffer ())
 
-(* Sequentially the two engines must visit the same fingerprint multiset,
-   not just the same number of nodes. *)
-let fp_multiset ~engine ?max_crashes cfg =
-  let tbl = Hashtbl.create 1024 in
-  let r =
-    explore_with ~engine ~domains:1 ~por:true ?max_crashes
-      ~on_fingerprint:(fun fp ->
-        Hashtbl.replace tbl fp
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-      cfg
+(* Every zoo lock that declares pure programs — each of these searches
+   steps compiled by default, so each is held to the interpreter, under
+   a budget every one of them exhausts: the full contract (verdict, nodes, depth, fingerprint
+   multiset) at one domain under the reduction, as searches run by
+   default, and the verdict at two. *)
+let test_engines_zoo () =
+  let check_engines name =
+    check_engines name ~max_nodes:1_000_000
+      ~settings:[ (1, true); (2, true) ]
   in
-  (r, tbl)
+  let zoo name n =
+    match Locks.Zoo.find name with
+    | Some fam ->
+        Locks.Harness.config_of_lock ~model:Config.Cc_wb
+          (fam.Locks.Lock_intf.instantiate ~n) ~n
+    | None -> Alcotest.failf "no zoo lock %s" name
+  in
+  List.iter
+    (fun (name, n) ->
+      check_engines (Printf.sprintf "%s n=%d" name n) (zoo name n))
+    [ ("tas", 3); ("mcs", 3); ("bakery", 3); ("filter", 3);
+      ("tournament", 3); ("fastpath", 3); ("adaptive-list", 3);
+      ("dekker", 2); ("burns-lamport", 2) ];
+  check_engines "recoverable-tas n=3" ~max_crashes:1
+    (zoo "recoverable-tas" 3);
+  check_engines "abortable-tas n=3" ~max_aborts:1 (zoo "abortable-tas" 3)
 
+(* Sequentially the two paths must visit the same fingerprint multiset,
+   not just the same number of nodes. *)
 let check_fp_sets name ?max_crashes cfg =
-  let rj, tj = fp_multiset ~engine:`Journal ?max_crashes cfg in
-  let rc, tc = fp_multiset ~engine:`Compiled ?max_crashes cfg in
-  Alcotest.(check int) (name ^ ": nodes") rj.E.nodes rc.E.nodes;
-  Alcotest.(check int)
-    (name ^ ": distinct fingerprints")
-    (Hashtbl.length tj) (Hashtbl.length tc);
-  Hashtbl.iter
-    (fun fp n ->
-      match Hashtbl.find_opt tc fp with
-      | Some n' when n = n' -> ()
-      | Some n' ->
-          Alcotest.failf "%s: fingerprint %#x visited %d (journal) vs %d \
-                          (compiled) times"
-            name fp n n'
-      | None ->
-          Alcotest.failf "%s: fingerprint %#x visited by journal only" name fp)
-    tj
+  let run path =
+    let tbl = Hashtbl.create 1024 in
+    let r =
+      explore_with ~path ~domains:1 ~por:true ?max_crashes
+        ~on_fingerprint:(count_into tbl) cfg
+    in
+    (r, tbl)
+  in
+  let ri, ti = run `Interpreted and rc, tc = run `Compiled in
+  Alcotest.(check int) (name ^ ": nodes") ri.E.nodes rc.E.nodes;
+  check_multisets name ti tc
 
 let test_fp_sets_peterson () = check_fp_sets "peterson" (peterson_unfenced ())
 
@@ -340,22 +383,26 @@ let test_paranoid () =
       ("rtas", 1, rtas ~crash_semantics:Config.Atomic_prefix ());
     ]
 
-(* Journal gauges surface in stats under both step engines. *)
+(* Journal gauges surface in stats on both step paths. *)
 let test_journal_stats () =
   List.iter
-    (fun engine ->
-      let name = Config.engine_name engine in
+    (fun path ->
+      let name = Tutil.path_name path in
       let r =
         E.explore ~max_nodes:200_000
-          { (peterson_unfenced ()) with Config.engine }
+          (Tutil.with_path path (peterson_unfenced ()))
       in
       Alcotest.(check bool) (name ^ " pushes records") true
         (r.E.stats.E.undo_records > 0);
       Alcotest.(check bool) (name ^ " has a peak") true
         (r.E.stats.E.journal_peak > 0))
-    [ `Journal; `Compiled ]
+    [ `Interpreted; `Compiled ]
 
-(* --- byte-identical Chrome export under the journal engine ------------- *)
+(* --- byte-identical Chrome export with the journal on ------------------ *)
+
+(* Traced machines always interpret (Config.compiled_steps), so this
+   pins the interpreter with journaling live; the compiled path meets the
+   same fixture untraced in suite_corpus. *)
 
 let test_chrome_byte_identical () =
   let schedule =
@@ -365,10 +412,8 @@ let test_chrome_byte_identical () =
     | Ok s -> s
     | Error e -> Alcotest.failf "fixture schedule: %s" e
   in
-  let export engine =
-    let cfg =
-      { (peterson_unfenced ()) with Config.record_trace = true; engine }
-    in
+  let export () =
+    let cfg = { (peterson_unfenced ()) with Config.record_trace = true } in
     let m, outcome = E.replay cfg schedule in
     (match outcome with
     | E.R_exclusion _ -> ()
@@ -381,9 +426,7 @@ let test_chrome_byte_identical () =
       In_channel.input_all
   in
   Alcotest.(check string) "journal replay matches the golden bytes" golden
-    (export `Journal);
-  Alcotest.(check string) "compiled replay matches the golden bytes" golden
-    (export `Compiled)
+    (export ())
 
 let suite =
   List.map QCheck_alcotest.to_alcotest walk_props
@@ -398,6 +441,8 @@ let suite =
       Alcotest.test_case "engines agree: mp PSO" `Quick test_engines_mp_pso;
       Alcotest.test_case "engines agree: rtas crashes<=1" `Quick
         test_engines_rtas;
+      Alcotest.test_case "engines agree: pure zoo locks" `Quick
+        test_engines_zoo;
       Alcotest.test_case "fingerprint sets agree: peterson" `Quick
         test_fp_sets_peterson;
       Alcotest.test_case "fingerprint sets agree: rtas" `Quick
@@ -405,6 +450,6 @@ let suite =
       Alcotest.test_case "paranoid fingerprint cross-check" `Quick
         test_paranoid;
       Alcotest.test_case "journal gauges in stats" `Quick test_journal_stats;
-      Alcotest.test_case "chrome export byte-identical across engines"
+      Alcotest.test_case "chrome export byte-identical with the journal on"
         `Quick test_chrome_byte_identical;
     ]

@@ -98,13 +98,15 @@ let kind_set (r : Mcheck.Explore.result) =
          | `Spin_exhausted -> "spin")
        r.Mcheck.Explore.violations)
 
-(* The engine configurations under comparison: the reference point (trace
-   on, no reduction, single domain — the seed engine), then the
+let with_path = Tutil.with_path
+let path_name = Tutil.path_name
+
+(* The explorer configurations under comparison: the reference point
+   (trace on, no reduction, single domain — the seed engine), then the
    throughput features and the partial-order reduction in every
-   combination of domains, under both step engines (journal and
-   compiled) now that all domain counts share one fingerprint store. POR
-   must be verdict-invisible everywhere. *)
-let with_engine engine cfg = { cfg with Config.engine }
+   combination of domains, on both step paths now that all domain counts
+   share one fingerprint store. POR must be verdict-invisible
+   everywhere. *)
 
 let engines =
   [
@@ -113,32 +115,34 @@ let engines =
        Mcheck.Explore.explore ~max_nodes:2_000_000 ~record_trace:true
          ~por:false cfg);
     ("fast (por on, d=1)",
-     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 cfg);
-    ("fast (por off, d=1)",
-     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false cfg);
-    ("parallel (por on, d=4)",
-     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 cfg);
-    ("parallel (por off, d=4)",
-     fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 ~por:false cfg);
-    ("parallel (por on, d=8)",
-     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 cfg);
-    ("compiled (por on, d=1)",
      fun cfg ->
        Mcheck.Explore.explore ~max_nodes:2_000_000
-         (with_engine `Compiled cfg));
-    ("compiled (por off, d=1)",
+         (with_path `Interpreted cfg));
+    ("fast (por off, d=1)",
      fun cfg ->
        Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false
-         (with_engine `Compiled cfg));
-    ("parallel compiled (por on, d=4)",
+         (with_path `Interpreted cfg));
+    ("parallel (por on, d=4)",
      fun cfg ->
        Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4
-         (with_engine `Compiled cfg));
+         (with_path `Interpreted cfg));
+    ("parallel (por off, d=4)",
+     fun cfg ->
+       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 ~por:false
+         (with_path `Interpreted cfg));
+    ("parallel (por on, d=8)",
+     fun cfg ->
+       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8
+         (with_path `Interpreted cfg));
+    ("compiled (por on, d=1)",
+     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 cfg);
+    ("compiled (por off, d=1)",
+     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~por:false cfg);
+    ("parallel compiled (por on, d=4)",
+     fun cfg -> Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:4 cfg);
     ("parallel compiled (por off, d=8)",
      fun cfg ->
-       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 ~por:false
-         (with_engine `Compiled cfg));
+       Mcheck.Explore.explore ~max_nodes:2_000_000 ~domains:8 ~por:false cfg);
   ]
 
 let check_equiv name mk_cfg expected =
@@ -213,7 +217,8 @@ let test_parallel_deterministic () =
   Alcotest.(check int) "por off: d=4 nodes = d=1 nodes"
     seq.Mcheck.Explore.nodes par.Mcheck.Explore.nodes
 
-(* Under a widened violation cap, every engine must surface the same SET
+(* Under a widened violation cap, every step path, domain count and POR
+   setting must surface the same SET
    of violation kinds — the cap no longer truncates the interesting part
    of the space, so the kind set is part of the determinism contract. *)
 let test_kind_set_equiv () =
@@ -225,18 +230,18 @@ let test_kind_set_equiv () =
              ~por:false (mk_cfg ()))
       in
       List.iter
-        (fun (engine, domains, por) ->
+        (fun (path, domains, por) ->
           let r =
             Mcheck.Explore.explore ~max_nodes:2_000_000 ~max_violations:8
               ~domains ~por
-              (with_engine engine (mk_cfg ()))
+              (with_path path (mk_cfg ()))
           in
           Alcotest.(check (list string))
-            (Printf.sprintf "%s kinds (%s d=%d por=%b)" name
-               (Tsim.Config.engine_name engine)
+            (Printf.sprintf "%s kinds (%s d=%d por=%b)" name (path_name path)
                domains por)
             expected (kind_set r))
-        [ (`Journal, 1, true); (`Journal, 4, true); (`Journal, 8, false);
+        [ (`Interpreted, 1, true); (`Interpreted, 4, true);
+          (`Interpreted, 8, false);
           (`Compiled, 1, true); (`Compiled, 4, true);
           (`Compiled, 8, false) ])
     [ ("peterson unfenced", fun () -> peterson ~fenced:false);
@@ -295,19 +300,20 @@ let test_por_reduces_nodes () =
     true
     (2 * on.Mcheck.Explore.nodes <= off.Mcheck.Explore.nodes)
 
-(* Sequentially (d=1) the determinism contract is total: the compiled
-   engine is the journal engine on top of compile-ahead execution, so on
-   identical configurations it must visit the same states in the same
-   order — equal node counts, equal max depth, and equal fingerprint
-   MULTISETS (state identity plus revisit counts), por on and off. *)
-let fp_multiset ~engine ~por cfg =
+(* Sequentially (d=1) the determinism contract is total: compiled steps
+   are the same journal DFS on top of compile-ahead execution, so on
+   identical configurations they must visit the same states in the same
+   order as the interpreter — equal node counts, equal max depth, and
+   equal fingerprint MULTISETS (state identity plus revisit counts), por
+   on and off. *)
+let fp_multiset ~path ~por cfg =
   let tbl = Hashtbl.create 256 in
   let r =
     Mcheck.Explore.explore ~max_nodes:2_000_000 ~por
       ~on_fingerprint:(fun fp ->
         Hashtbl.replace tbl fp
           (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-      (with_engine engine cfg)
+      (with_path path cfg)
   in
   (r, tbl)
 
@@ -329,8 +335,8 @@ let test_compiled_sequential_deterministic () =
       List.iter
         (fun por ->
           let tag = Printf.sprintf "%s por=%b" name por in
-          let rj, tj = fp_multiset ~engine:`Journal ~por (mk_cfg ()) in
-          let rc, tc = fp_multiset ~engine:`Compiled ~por (mk_cfg ()) in
+          let rj, tj = fp_multiset ~path:`Interpreted ~por (mk_cfg ()) in
+          let rc, tc = fp_multiset ~path:`Compiled ~por (mk_cfg ()) in
           Alcotest.(check bool) (tag ^ ": verified") rj.Mcheck.Explore.verified
             rc.Mcheck.Explore.verified;
           Alcotest.(check int) (tag ^ ": nodes") rj.Mcheck.Explore.nodes
@@ -498,11 +504,11 @@ let prop_por_differential_crashes =
         fps_on;
       true)
 
-(* --- differential property: engines agree on random programs ----------- *)
+(* --- differential property: step paths agree on random programs -------- *)
 
 (* Crash-capable extension of the generator: the same straight-line
    sections, plus an optional recovery section and a drawn crash
-   semantics, so the compiled engine's crash lowering (buffer fate,
+   semantics, so the compiled path's crash lowering (buffer fate,
    recovery-section re-entry, interpreter fallback at the recovery root)
    is differentially fuzzed rather than hand-tested. *)
 type crashy = {
@@ -539,7 +545,7 @@ let arb_crashy =
 let config_of_crashy c =
   config_of_rops ?recovery:c.c_recovery ~crash_semantics:c.c_sem c.c_progs
 
-(* Compiled vs journal on a random program: sequentially the contract is
+(* Compiled vs interpreted on a random program: sequentially the contract is
    total, so the two runs must agree on verdict, exhaustion, kind set,
    node count, max depth and the fingerprint MULTISET, por on and off. *)
 let multisets_agree tj tc =
@@ -549,18 +555,18 @@ let multisets_agree tj tc =
          ok && Option.value ~default:0 (Hashtbl.find_opt tc fp) = n)
        tj true
 
-let check_engine_pair ~max_crashes ~por cfg_of () =
-  let run engine sink =
+let check_path_pair ~max_crashes ~por cfg_of () =
+  let run path sink =
     Mcheck.Explore.explore ~max_nodes:500_000 ~max_violations:max_int
       ~on_spin:`Violation ~por ~max_crashes ~on_fingerprint:sink
-      (with_engine engine (cfg_of ()))
+      (with_path path (cfg_of ()))
   in
   let count tbl fp =
     Hashtbl.replace tbl fp
       (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp))
   in
   let tj = Hashtbl.create 256 and tc = Hashtbl.create 256 in
-  let rj = run `Journal (count tj) in
+  let rj = run `Interpreted (count tj) in
   let rc = run `Compiled (count tc) in
   if rj.Mcheck.Explore.verified <> rc.Mcheck.Explore.verified then
     QCheck.Test.fail_report "verified disagrees";
@@ -568,25 +574,26 @@ let check_engine_pair ~max_crashes ~por cfg_of () =
     QCheck.Test.fail_report "exhausted disagrees";
   if rj.Mcheck.Explore.nodes <> rc.Mcheck.Explore.nodes then
     QCheck.Test.fail_report
-      (Printf.sprintf "node counts disagree: journal %d vs compiled %d"
+      (Printf.sprintf "node counts disagree: interpreted %d vs compiled %d"
          rj.Mcheck.Explore.nodes rc.Mcheck.Explore.nodes);
   if rj.Mcheck.Explore.max_depth <> rc.Mcheck.Explore.max_depth then
     QCheck.Test.fail_report "max depth disagrees";
   if kind_set rj <> kind_set rc then
     QCheck.Test.fail_report
-      (Printf.sprintf "violation kinds disagree: journal {%s} vs compiled {%s}"
+      (Printf.sprintf
+         "violation kinds disagree: interpreted {%s} vs compiled {%s}"
          (String.concat "," (kind_set rj))
          (String.concat "," (kind_set rc)));
   if not (multisets_agree tj tc) then
     QCheck.Test.fail_report "fingerprint multisets disagree";
   (* at d=4 only the verdict contract survives (claim races move node
      counts; the fingerprint hook is sequential-only) *)
-  let par engine =
+  let par path =
     Mcheck.Explore.explore ~max_nodes:500_000 ~max_violations:max_int
       ~on_spin:`Violation ~por ~max_crashes ~domains:4
-      (with_engine engine (cfg_of ()))
+      (with_path path (cfg_of ()))
   in
-  let pj = par `Journal and pc = par `Compiled in
+  let pj = par `Interpreted and pc = par `Compiled in
   if pj.Mcheck.Explore.verified <> pc.Mcheck.Explore.verified then
     QCheck.Test.fail_report "d=4 verified disagrees";
   if kind_set pj <> kind_set pc then
@@ -599,7 +606,7 @@ let prop_engine_differential =
     arb_prog2 (fun progs ->
       List.for_all
         (fun por ->
-          check_engine_pair ~max_crashes:0 ~por
+          check_path_pair ~max_crashes:0 ~por
             (fun () -> config_of_rops progs)
             ())
         [ true; false ])
@@ -612,7 +619,7 @@ let prop_engine_differential_crashes =
     arb_crashy (fun c ->
       List.for_all
         (fun por ->
-          check_engine_pair ~max_crashes:c.c_crashes ~por
+          check_path_pair ~max_crashes:c.c_crashes ~por
             (fun () -> config_of_crashy c)
             ())
         [ true; false ])

@@ -1,6 +1,6 @@
 (* The profiling layer (PR9): the Knuth online tree-size estimator
    (exactness on perfect trees, unbiasedness against exhaustively-counted
-   spaces under every engine and POR setting, progress mass accounting),
+   spaces on both step paths and POR settings, progress mass accounting),
    the per-depth/class/section/location profile accumulator (exactly-once
    node attribution, deterministic shard merge laws, folded-stack export,
    JSON round-trip) and the profile diff (pinned fixture verdict). The
@@ -83,12 +83,14 @@ let test_estimator_unbalanced_mean () =
 
 (* --- estimator woven into the explorer --------------------------------- *)
 
-let peterson ?engine () =
+(* [~path:`Interpreted] leaves the programs undeclared, which sends the
+   search through the interpreter (Config.compiled_steps). *)
+let peterson ?(path = `Compiled) () =
   let layout = Layout.create () in
   let flag = Layout.array layout ~init:0 "flag" 2 in
   let turn = Layout.var layout ~init:0 "turn" in
-  Config.make ~model:Config.Cc_wb ~check_exclusion:true ~pure_programs:true
-    ?engine ~n:2 ~layout
+  Config.make ~model:Config.Cc_wb ~check_exclusion:true
+    ~pure_programs:(path = `Compiled) ~n:2 ~layout
     ~entry:(fun p ->
       let* () = write flag.(p) 1 in
       let* () = write turn p in
@@ -109,12 +111,12 @@ let peterson ?engine () =
     ()
 
 (* Small DSM-model ticket lock: gives the profiler nonzero RMR cells. *)
-let ticket_dsm ?engine () =
+let ticket_dsm ?(path = `Compiled) () =
   let layout = Layout.create () in
   let next = Layout.var layout "next" in
   let serving = Layout.var layout "serving" in
-  Config.make ~model:Config.Dsm ~check_exclusion:true ~pure_programs:true
-    ?engine ~n:2 ~layout
+  Config.make ~model:Config.Dsm ~check_exclusion:true
+    ~pure_programs:(path = `Compiled) ~n:2 ~layout
     ~entry:(fun _ ->
       let* t = faa next 1 in
       let* _ = spin_until ~fuel:4 serving (fun s -> s = t) in
@@ -126,7 +128,7 @@ let ticket_dsm ?engine () =
     ()
 
 (* The estimator's mean over >= 100 fixed seeds must land within
-   tolerance of the exhaustively-counted node total, under every engine
+   tolerance of the exhaustively-counted node total, on both step paths
    and both POR settings; every run must report progress exactly 1.0
    (the mass accounting retires the whole space) and an unchanged node
    count (the probes never perturb the search).
@@ -139,8 +141,8 @@ let ticket_dsm ?engine () =
    mean comfortable margin against its measured sampling noise. *)
 let test_estimator_unbiased_in_search () =
   List.iter
-    (fun (engine, por) ->
-      let cfg = peterson ~engine () in
+    (fun (path, por) ->
+      let cfg = peterson ~path () in
       let truth =
         (Mcheck.Explore.explore ~max_nodes:2_000_000 ~por cfg)
           .Mcheck.Explore.nodes
@@ -157,7 +159,7 @@ let test_estimator_unbiased_in_search () =
         in
         Alcotest.(check int)
           (Printf.sprintf "%s por=%b seed=%d nodes unperturbed"
-             (Config.engine_name engine) por seed)
+             (Tutil.path_name path) por seed)
           truth r.Mcheck.Explore.nodes;
         Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
         Alcotest.(check (float 1e-9)) "progress 1.0" 1.0
@@ -168,9 +170,9 @@ let test_estimator_unbiased_in_search () =
       let rel = Float.abs (mean -. float_of_int truth) /. float_of_int truth in
       if rel > tol then
         Alcotest.failf "%s por=%b: mean estimate %.1f vs true %d (%.1f%% off)"
-          (Config.engine_name engine) por mean truth (100. *. rel))
+          (Tutil.path_name path) por mean truth (100. *. rel))
     [
-      (`Journal, true); (`Journal, false);
+      (`Interpreted, true); (`Interpreted, false);
       (`Compiled, true); (`Compiled, false);
     ]
 
@@ -178,8 +180,8 @@ let test_estimator_unbiased_in_search () =
 
 let test_profile_no_perturbation () =
   List.iter
-    (fun engine ->
-      let cfg = ticket_dsm ~engine () in
+    (fun path ->
+      let cfg = ticket_dsm ~path () in
       let fps_of ?estimator ?profile () =
         let acc = ref [] in
         let r =
@@ -200,24 +202,24 @@ let test_profile_no_perturbation () =
         r1.Mcheck.Explore.nodes;
       Alcotest.(check bool)
         (Printf.sprintf "%s fingerprint multiset identical"
-           (Config.engine_name engine))
+           (Tutil.path_name path))
         true (fp0 = fp1))
-    [ `Journal; `Compiled ]
+    [ `Interpreted; `Compiled ]
 
 (* --- exactly-once attribution ------------------------------------------- *)
 
 let test_profile_totals_match_nodes () =
   List.iter
-    (fun engine ->
-      let cfg = peterson ~engine () in
+    (fun path ->
+      let cfg = peterson ~path () in
       let p = Mcheck.Explore.new_profile () in
       let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~profile:p cfg in
       Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;
       Alcotest.(check int)
         (Printf.sprintf "%s profile nodes = search nodes"
-           (Config.engine_name engine))
+           (Tutil.path_name path))
         r.Mcheck.Explore.nodes (Obs.Profile.total_nodes p))
-    [ `Journal; `Compiled ]
+    [ `Interpreted; `Compiled ]
 
 (* Strided sampling: with [~every:k] the gate fires on the first record
    and every k-th after, and each armed record books k nodes — so the
@@ -228,7 +230,7 @@ let test_profile_totals_match_nodes () =
 let test_profile_strided_totals () =
   List.iter
     (fun every ->
-      let cfg = peterson ~engine:`Journal () in
+      let cfg = peterson ~path:`Interpreted () in
       let p = Mcheck.Explore.new_profile ~every () in
       let r = Mcheck.Explore.explore ~max_nodes:2_000_000 ~profile:p cfg in
       Alcotest.(check bool) "exhausted" true r.Mcheck.Explore.exhausted;

@@ -50,3 +50,21 @@ let find_events m pred =
 let count_events m pred = List.length (find_events m pred)
 
 let pidset xs = List.fold_left (fun s p -> Pidset.add p s) Pidset.empty xs
+
+(* The two step paths (Config.compiled_steps): an untraced machine over
+   declared-pure programs steps compiled. Declaring the same programs
+   impure is always sound and sends it through the interpreter, so
+   [with_path `Interpreted] is the interpreter side of every step-path
+   differential in the suites. [`Compiled] turns trace recording off
+   (searches do that themselves) and keeps purity as declared: an impure
+   configuration interprets on both sides. *)
+type path = [ `Interpreted | `Compiled ]
+
+let path_name : path -> string = function
+  | `Interpreted -> "interpreted"
+  | `Compiled -> "compiled"
+
+let with_path (path : path) cfg =
+  match path with
+  | `Interpreted -> { cfg with Config.pure_programs = false }
+  | `Compiled -> { cfg with Config.record_trace = false }
